@@ -119,6 +119,9 @@ class IpdaOutcome(RoundOutcome):
 class _IpdaNode(Node):
     """A sensor running iPDA."""
 
+    #: the trees the round builds, in flooding order.
+    colors: Tuple[TreeColor, ...] = (TreeColor.RED, TreeColor.BLUE)
+
     def __init__(self, node_id: int, network: Network):
         super().__init__(node_id, network)
         self.config: IpdaConfig = IpdaConfig()
@@ -275,21 +278,24 @@ class _IpdaNode(Node):
         )
         draw = float(self.rng.random())
         if draw < p_red:
-            self.color = TreeColor.RED
+            self._join(TreeColor.RED)
         elif draw < p_red + p_blue:
-            self.color = TreeColor.BLUE
+            self._join(TreeColor.BLUE)
         else:
             self.color = None
-            return
-        own_heard = self.heard[self.color]
+
+    def _join(self, color: TreeColor) -> None:
+        """Become a ``color`` aggregator: pick a parent, announce, report."""
+        self.color = color
+        own_heard = self.heard[color]
         self.parent = min(own_heard, key=lambda a: (own_heard[a], a))
         self.hops = own_heard[self.parent] + 1
-        self.assemblers[self.color] = SliceAssembler(self.id)
+        self.assemblers[color] = SliceAssembler(self.id)
         self.send(
             HelloMessage(
                 src=self.id,
                 dst=BROADCAST,
-                color=self.color,
+                color=color,
                 hops=self.hops,
                 round_id=self.round_id,
             )
@@ -665,26 +671,19 @@ class _TwoFacedNode(_IpdaNode):
         if self.decided:
             return
         self.decided = True
-        heard_red = self.heard[TreeColor.RED]
-        heard_blue = self.heard[TreeColor.BLUE]
-        if not heard_red or not heard_blue:
+        if not self.heard[TreeColor.RED] or not self.heard[TreeColor.BLUE]:
             return
-        self.color = TreeColor.RED
-        self.parent = min(heard_red, key=lambda a: (heard_red[a], a))
-        self.hops = heard_red[self.parent] + 1
-        self.assemblers[TreeColor.RED] = SliceAssembler(self.id)
+        self._join(TreeColor.RED)
         self.assemblers[TreeColor.BLUE] = SliceAssembler(self.id)
-        for color in (TreeColor.RED, TreeColor.BLUE):
-            self.send(
-                HelloMessage(
-                    src=self.id,
-                    dst=BROADCAST,
-                    color=color,
-                    hops=self.hops,
-                    round_id=self.round_id,
-                )
+        self.send(
+            HelloMessage(
+                src=self.id,
+                dst=BROADCAST,
+                color=TreeColor.BLUE,
+                hops=self.hops,
+                round_id=self.round_id,
             )
-        self._schedule_report()
+        )
 
 
 class _IpdaBaseStation(_IpdaNode):
@@ -694,14 +693,13 @@ class _IpdaBaseStation(_IpdaNode):
         super().__init__(node_id, network)
         self.decided = True
         self.assemblers = {
-            TreeColor.RED: SliceAssembler(node_id),
-            TreeColor.BLUE: SliceAssembler(node_id),
+            color: SliceAssembler(node_id) for color in self.colors
         }
         #: when the last partial result arrived — the round's latency.
         self.last_result_time = 0.0
 
     def start(self) -> None:
-        for color in (TreeColor.RED, TreeColor.BLUE):
+        for color in self.colors:
             self.send(
                 HelloMessage(
                     src=self.id,
@@ -830,45 +828,26 @@ class IpdaProtocol(AggregationProtocol):
         assert isinstance(root, _IpdaBaseStation)
 
         timing = self.config.timing
-        t_slice = timing.tree_construction_window
-        t_report_end = (
-            t_slice
-            + timing.slicing_window
-            + timing.assembly_guard
-            + (MAX_DEPTH_SLOTS + 2) * timing.aggregation_slot
-        )
         root.start()
         for node in network.iter_nodes():
             if node.id != self.base_station:
                 network.engine.schedule_at(
-                    t_slice, _begin_slicing_callback(node)
+                    timing.tree_construction_window,
+                    _begin_slicing_callback(node),
                 )
         if failures:
             for node_id, when in failures.items():
                 network.engine.schedule_at(
                     float(when), _kill_callback(network, node_id)
                 )
-        network.run(until=t_report_end)
+        network.run(until=_round_horizon(timing))
         network.run()  # drain MAC backoff and protocol-retry tails
 
         s_red = root.tree_sum(TreeColor.RED)
         s_blue = root.tree_sum(TreeColor.BLUE)
         checker = IntegrityChecker(self.config.threshold)
 
-        participants = {
-            node.id
-            for node in network.iter_nodes()
-            if isinstance(node, _IpdaNode)
-            and node.id != self.base_station
-            and node.participant
-        }
-        covered = {
-            node.id
-            for node in network.iter_nodes()
-            if isinstance(node, _IpdaNode)
-            and node.id != self.base_station
-            and node.is_covered
-        }
+        participants, covered = _round_membership(network, self.base_station)
         red_aggs = sum(
             1
             for node in network.iter_nodes()
@@ -945,6 +924,30 @@ class IpdaProtocol(AggregationProtocol):
                 "frames": network.trace.frames if self.keep_frames else None,
             },
         )
+
+
+def _round_horizon(timing) -> float:
+    """When the last Phase III depth slot of a round has closed."""
+    return (
+        timing.tree_construction_window
+        + timing.slicing_window
+        + timing.assembly_guard
+        + (MAX_DEPTH_SLOTS + 2) * timing.aggregation_slot
+    )
+
+
+def _round_membership(
+    network: Network, base_station: int
+) -> Tuple[Set[int], Set[int]]:
+    """The round's ``(participants, covered)`` sensor id sets."""
+    sensors = [
+        node
+        for node in network.iter_nodes()
+        if isinstance(node, _IpdaNode) and node.id != base_station
+    ]
+    participants = {node.id for node in sensors if node.participant}
+    covered = {node.id for node in sensors if node.is_covered}
+    return participants, covered
 
 
 def _begin_slicing_callback(node: Node):

@@ -14,28 +14,29 @@ frame — unicast frames are delivered only to their addressee but are
 recorded as overheard, which is exactly the surface the eavesdropping
 attack (Section II-C) exploits.
 
-Hot-path notes: neighbour iteration order must be sorted (it fixes the
-RNG draw order and therefore byte-for-byte reproducibility), so the
-sorted tuples are cached per node and invalidated via
-``Topology.version``.  When collisions are disabled the medium takes a
-perfect-channel fast path that skips per-receiver bookkeeping entirely
-(``_finish_fast``); with collisions enabled, in-flight frames live in a
-struct-of-arrays ledger (:class:`_InFlightFrame`: one record of
-``(start, end, receivers, ruin map)`` per frame) so half-duplex and
-overlap ruin are O(1) probes per *frame pair* instead of
-per-receiver Python objects, and end-of-frame resolution draws all
-Bernoulli losses in one ``rng.random(k)`` call and accounts the whole
-fan-out through the batch trace APIs.  Both shortcuts are observably
-identical to the historical per-:class:`Reception` loop (same receiver
-order, same RNG stream, same trace records), which
-``tests/sim/test_radio_fastpath.py`` and
-``tests/sim/test_radio_collisions_batch.py`` assert by running the
-retained legacy resolver (``_force_legacy_collisions``) side by side.
+Every frame ends in one routine, :meth:`RadioMedium._conclude`, which
+walks the receivers in sorted order through the same drop stages —
+ruin at flag time, receiver alive, Bernoulli loss (one
+``rng.random(k)`` draw for the whole fan-out), per-link loss model —
+then records drops and deliveries through the batch trace APIs,
+delivers, and tells the sender's MAC.  Sorted order fixes the RNG draw
+order and therefore byte-for-byte reproducibility; the sorted tuples
+are cached per node and invalidated via ``Topology.version``.
+
+With collisions enabled, frames on the air live in an in-flight ledger
+(:class:`_InFlightFrame`: one record of ``(start, end, receivers, ruin
+map)`` per frame), so half-duplex and overlap ruin are O(1) probes per
+*frame pair* at transmit time, not per-receiver objects.  With
+collisions disabled there is nothing to flag, so the frame skips the
+ledger (``_finish_fast``) and concludes with an empty ruin map.
+``tests/sim/radio_oracle.py`` keeps the historical per-reception
+resolver, and the radio tests diff both channel modes against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,7 +47,7 @@ from .engine import EventEngine
 from .messages import Message
 from .trace import DropReason, FrameRecord, TraceCollector
 
-__all__ = ["RadioConfig", "RadioMedium", "Reception"]
+__all__ = ["RadioConfig", "RadioMedium"]
 
 #: Paper's simulated data rate (Section IV-B): 1 Mbps.
 PAPER_DATA_RATE_BPS: float = 1_000_000.0
@@ -102,38 +103,6 @@ class RadioConfig:
             raise SimulationError("loss_probability must be in [0, 1]")
         if self.propagation_delay < 0:
             raise SimulationError("propagation_delay must be >= 0")
-
-
-@dataclass(slots=True)
-class Reception:
-    """An in-flight frame as experienced by one receiver (legacy model).
-
-    Only the retained legacy resolver allocates these; the production
-    collision path keeps one :class:`_InFlightFrame` per frame instead.
-    """
-
-    message: Message
-    receiver: int
-    start: float
-    end: float
-    collided: bool = False
-    #: the cause recorded when ``collided`` was first set.
-    ruin_reason: Optional[str] = None
-    record: Optional[FrameRecord] = None
-    #: position inside ``RadioMedium._active_receptions[receiver]`` so
-    #: conclusion can swap-pop instead of an O(n) list.remove.
-    _active_index: int = -1
-
-
-@dataclass(slots=True)
-class _Transmission:
-    """An in-flight frame as produced by its sender (legacy model)."""
-
-    message: Message
-    sender: int
-    start: float
-    end: float
-    receptions: List[Reception] = field(default_factory=list)
 
 
 @dataclass(slots=True, eq=False)
@@ -229,19 +198,16 @@ class RadioMedium:
         #: sense on an idle channel).
         self._tx_count = 0
         #: the in-flight ledger: one struct-of-arrays record per frame
-        #: on the air (collision path only; the perfect-channel fast
-        #: path never touches it).  The parallel ``_if_*`` columns
-        #: mirror the list index-for-index so a crowded ledger can be
-        #: screened in one vectorized pass; removal swap-pops, which is
-        #: safe because ruin marks are idempotent first-cause-wins and
-        #: therefore insensitive to ledger order.
+        #: on the air (collision path only; a perfect channel never
+        #: touches it).  The parallel ``_if_*`` columns mirror the list
+        #: index-for-index so a crowded ledger can be screened in one
+        #: vectorized pass; removal swap-pops, which is safe because
+        #: ruin marks are idempotent first-cause-wins and therefore
+        #: insensitive to ledger order.
         self._in_flight: List[_InFlightFrame] = []
         self._if_end = np.empty(16)
         self._if_x = np.empty(16)
         self._if_y = np.empty(16)
-        #: legacy per-receiver bookkeeping, used only when
-        #: ``_force_legacy_collisions`` is set by equivalence tests.
-        self._active_receptions: Dict[int, List[Reception]] = {}
         #: optional per-link loss process installed by the fault layer.
         self.loss_model: Optional[LossModelFn] = None
         self._node_alive = node_alive
@@ -264,20 +230,10 @@ class RadioMedium:
         #: frames provably cannot interact.
         self._coords = topology.coords
         self._pair_reject_sq = (2.0 * topology.radio_range) ** 2
-        #: frames concluded by the perfect-channel fast path vs the
-        #: generic collision-aware path (observability counters).
+        #: frames concluded on a collisions-off channel vs through the
+        #: in-flight ledger (observability counters).
         self.fast_path_frames = 0
         self.generic_frames = 0
-        #: test hook — when True the perfect-channel fast path is
-        #: disabled so equivalence tests can diff it against the
-        #: generic resolver.  Set it before the first transmit; the
-        #: paths do not share in-flight bookkeeping.
-        self._force_generic_finish = False
-        #: test hook — when True the generic path uses the retained
-        #: per-Reception legacy resolver instead of the batch ledger,
-        #: so the differential suite can run old and new resolution
-        #: side by side.  Set it before the first transmit.
-        self._force_legacy_collisions = False
 
     def _check_neighbor_caches(self) -> None:
         if self._neighbor_cache_version != self.topology.version:
@@ -381,12 +337,7 @@ class RadioMedium:
         record = self.trace.record_send(now, message)
         receivers = self._sorted_neighbors(sender)
 
-        if self._force_legacy_collisions:
-            return self._transmit_legacy(
-                message, sender, start, end, record, receivers
-            )
-
-        if not config.collisions_enabled and not self._force_generic_finish:
+        if not config.collisions_enabled:
             # Perfect channel: no frame can collide, so skip the
             # in-flight ledger and conclude straight from the cached
             # neighbour tuple at end-of-frame.
@@ -414,7 +365,7 @@ class RadioMedium:
         )
 
         in_flight = self._in_flight
-        if config.collisions_enabled and in_flight:
+        if in_flight:
             self._flag_interactions(entry, start, sender)
         slot = len(in_flight)
         if slot == len(self._if_end):
@@ -524,16 +475,7 @@ class RadioMedium:
                     other_ruin[receiver] = _RUIN_COLLISION
 
     def _finish_entry(self, entry: _InFlightFrame) -> None:
-        """Batch end-of-frame resolution for one ledger record.
-
-        Observably identical to the legacy per-:class:`Reception` loop
-        (``_finish_transmission``): same receiver order, same
-        ``node_alive``/``loss_model`` call sequences, same single
-        ``rng.random(k)`` Bernoulli draw over the eligible receivers,
-        same trace records.  Like ``_finish_fast``, outcome resolution
-        is hoisted ahead of the deliver callbacks — safe because nodes
-        draw from their own per-node streams, never the radio's.
-        """
+        """End-of-frame for a ledger record: unlink it, then conclude."""
         self.generic_frames += 1
         in_flight = self._in_flight
         last = len(in_flight) - 1
@@ -551,10 +493,52 @@ class RadioMedium:
                 break
         self._tx_until[entry.sender] = -np.inf
         self._tx_count -= 1
+        self._conclude(
+            entry.message,
+            entry.record,
+            entry.receivers,
+            entry.ruin,
+            entry.slot_index,
+        )
 
-        message = entry.message
-        record = entry.record
-        receivers = entry.receivers
+    def _finish_fast(
+        self,
+        message: Message,
+        receivers: Tuple[int, ...],
+        record: Optional[FrameRecord],
+    ) -> None:
+        """End-of-frame on a collisions-off channel (no ledger record).
+
+        Nothing was flagged while the frame was on the air, so it
+        concludes with an empty ruin map.
+        """
+        self.fast_path_frames += 1
+        self._tx_until[message.src] = -np.inf
+        self._tx_count -= 1
+        self._conclude(message, record, receivers, {})
+
+    def _conclude(
+        self,
+        message: Message,
+        record: Optional[FrameRecord],
+        receivers: Tuple[int, ...],
+        ruin_map: Dict[int, int],
+        slot_index: Optional[Dict[int, int]] = None,
+    ) -> None:
+        """Resolve, record and dispatch one frame's whole fan-out.
+
+        ``receivers`` is the sender's sorted neighbour tuple and
+        ``ruin_map`` holds the ``_RUIN_*`` causes flagged while the
+        frame was on the air; ``slot_index`` (receiver -> position in
+        ``receivers``) places those ruins and is needed only when there
+        are any.  Each surviving receiver then passes, in receiver
+        order, through the liveness probe, the Bernoulli draw (ONE
+        ``rng.random(k)`` call — elementwise- and state-identical to
+        ``k`` scalar draws) and the loss model.  Outcomes are resolved
+        before any deliver callback runs, which is safe because nodes
+        draw from their own per-node streams, never the radio's, and
+        the loss model keeps its own per-link state.
+        """
         trace = self.trace
         dst = message.dst
         is_broadcast = message.is_broadcast
@@ -562,7 +546,6 @@ class RadioMedium:
         loss_model = self.loss_model
         loss_p = self.config.loss_probability
 
-        ruin_map = entry.ruin
         if (
             not ruin_map
             and node_alive is None
@@ -574,21 +557,20 @@ class RadioMedium:
                 message,
                 record,
                 receivers,
-                receivers,
                 is_broadcast,
                 dst,
                 addressee_decoded=True
-                if is_broadcast or dst in entry.receiver_set
+                if is_broadcast or _slot_of(receivers, dst) >= 0
                 else None,
             )
             return
 
-        if len(ruin_map) == entry.n_receivers:
+        n_receivers = len(receivers)
+        if len(ruin_map) == n_receivers:
             # Every reception was ruined at flag time (a saturated
             # storm): nothing survives to probe liveness, draw loss, or
-            # consult the loss model — exactly as in the legacy loop,
-            # which only runs those for non-ruined receptions.  Emit
-            # the drops straight from the ruin map, in receiver order.
+            # consult the loss model.  Emit the drops straight from the
+            # ruin map, in receiver order.
             trace.record_drop_batch(
                 record,
                 message,
@@ -600,27 +582,24 @@ class RadioMedium:
             self._record_deliveries(
                 message,
                 record,
-                receivers,
                 (),
                 is_broadcast,
                 dst,
                 addressee_decoded=True
                 if is_broadcast
-                else (False if dst in entry.receiver_set else None),
+                else (False if _slot_of(receivers, dst) >= 0 else None),
             )
             return
 
         # Outcome codes per slot: 0 = delivered, otherwise the drop
         # reason.  Start from the ruin causes recorded at flag time.
-        code = np.zeros(entry.n_receivers, dtype=np.int8)
+        code = np.zeros(n_receivers, dtype=np.int8)
         if ruin_map:
-            slot_index = entry.slot_index
             for receiver, cause in ruin_map.items():
                 code[slot_index[receiver]] = cause
         if node_alive is not None:
             # Liveness probes only for the non-ruined receivers, in
-            # receiver order — the exact call pattern of the legacy
-            # pre-pass.
+            # receiver order.
             if ruin_map:
                 dead = [
                     slot
@@ -660,14 +639,14 @@ class RadioMedium:
                     for slot in dropped_slots
                 ],
             )
-        if dst in entry.receiver_set:
-            addressee_decoded = bool(code[entry.slot_index[dst]] == _RUIN_NONE)
+        addressee = _slot_of(receivers, dst)
+        if addressee >= 0:
+            addressee_decoded = bool(code[addressee] == _RUIN_NONE)
         else:
             addressee_decoded = None
         self._record_deliveries(
             message,
             record,
-            receivers,
             [receivers[slot] for slot in np.flatnonzero(code == _RUIN_NONE)],
             is_broadcast,
             dst,
@@ -678,7 +657,6 @@ class RadioMedium:
         self,
         message: Message,
         record: Optional[FrameRecord],
-        receivers: Tuple[int, ...],
         delivered,
         is_broadcast: bool,
         dst: int,
@@ -711,311 +689,16 @@ class RadioMedium:
         if self._notify_sender is not None:
             self._notify_sender(message, bool(addressee_decoded))
 
-    # ------------------------------------------------------------------
-    # Legacy per-reception resolver (equivalence-test oracle)
-    # ------------------------------------------------------------------
-    def _transmit_legacy(
-        self,
-        message: Message,
-        sender: int,
-        start: float,
-        end: float,
-        record: Optional[FrameRecord],
-        receivers: Tuple[int, ...],
-    ) -> float:
-        """The historical Reception-object collision path, kept so the
-        differential suite can prove the ledger byte-identical."""
-        config = self.config
-        transmission = _Transmission(
-            message=message, sender=sender, start=start, end=end
-        )
 
-        if config.collisions_enabled:
-            # Half-duplex: anything the sender was receiving is ruined.
-            for reception in self._active_receptions.get(sender, []):
-                if reception.end > start and not reception.collided:
-                    reception.collided = True
-                    reception.ruin_reason = DropReason.HALF_DUPLEX
-
-        active_map = self._active_receptions
-        for receiver in receivers:
-            reception = Reception(
-                message=message,
-                receiver=receiver,
-                start=start,
-                end=end,
-                record=record,
-            )
-            if config.collisions_enabled:
-                self._apply_collisions(reception)
-            transmission.receptions.append(reception)
-            active = active_map.get(receiver)
-            if active is None:
-                active = active_map[receiver] = []
-            reception._active_index = len(active)
-            active.append(reception)
-
-        self.engine.post_at(
-            end, lambda: self._finish_transmission(transmission), priority=-1
-        )
-        return end
-
-    def _apply_collisions(self, reception: Reception) -> None:
-        receiver = reception.receiver
-        # Receiver busy sending: the incoming frame is unreadable.
-        if self._tx_until[receiver] > reception.start:
-            reception.collided = True
-            reception.ruin_reason = DropReason.HALF_DUPLEX
-        # Overlap with any other in-flight frame at this receiver ruins both.
-        for other in self._active_receptions.get(receiver, []):
-            if other.end > reception.start:
-                if not other.collided:
-                    other.collided = True
-                    other.ruin_reason = DropReason.COLLISION
-                if not reception.collided:
-                    reception.collided = True
-                    reception.ruin_reason = DropReason.COLLISION
-
-    def _finish_transmission(self, transmission: _Transmission) -> None:
-        message = transmission.message
-        self.generic_frames += 1
-        self._tx_until[transmission.sender] = -np.inf
-        self._tx_count -= 1
-        addressee_got_it = message.is_broadcast
-        addressee_seen = message.is_broadcast
-        active_map = self._active_receptions
-        receptions = transmission.receptions
-        # Hoist the Bernoulli losses into ONE vectorized draw for the
-        # receptions that reach the loss stage (not collided, alive) —
-        # stream-identical to the historical per-reception scalar
-        # draws.  The pre-pass sees exactly what the loop would:
-        # collision flags are frozen by end-of-frame (overlap tests
-        # are strict, so a frame starting `now` cannot retro-collide
-        # one ending `now`) and liveness only changes through
-        # scheduled fault events, never mid-event.
-        loss_p = self.config.loss_probability
-        node_alive = self._node_alive
-        eligible = None
-        draws = None
-        if loss_p > 0.0 and receptions:
-            eligible = [
-                not r.collided
-                and (node_alive is None or node_alive(r.receiver))
-                for r in receptions
-            ]
-            drawn = sum(eligible)
-            if drawn:
-                draws = self._rng.random(drawn)
-        draw_index = 0
-        for slot, reception in enumerate(receptions):
-            active = active_map.get(reception.receiver)
-            if active is not None:
-                # Swap-pop using the reception's recorded slot; order
-                # inside the active list is immaterial (collision
-                # checks only set flags).
-                index = reception._active_index
-                last = active[-1]
-                if last is not reception:
-                    active[index] = last
-                    last._active_index = index
-                active.pop()
-                if not active:
-                    del active_map[reception.receiver]
-            if eligible is None:
-                decoded = self._conclude_reception(reception, message)
-            elif eligible[slot]:
-                loss_draw = float(draws[draw_index])
-                draw_index += 1
-                decoded = self._conclude_reception(
-                    reception, message, alive=True, loss_draw=loss_draw
-                )
-            else:
-                decoded = self._conclude_reception(
-                    reception,
-                    message,
-                    alive=False if not reception.collided else None,
-                )
-            if not message.is_broadcast and reception.receiver == message.dst:
-                addressee_seen = True
-                addressee_got_it = decoded
-        if not addressee_seen:
-            # Unicast to a node outside radio range: nobody to decode it.
-            self.trace.record_drop(
-                None, message, message.dst, DropReason.NO_RECEIVER
-            )
-        if self._notify_sender is not None:
-            self._notify_sender(message, addressee_got_it)
-
-    def _finish_fast(
-        self,
-        message: Message,
-        receivers: Tuple[int, ...],
-        record: Optional[FrameRecord],
-    ) -> None:
-        """Perfect-channel end-of-frame, resolved for the whole receiver set.
-
-        Must stay observably identical to the generic resolvers with
-        ``collided`` always False: same receiver order, same drop-check
-        order (alive -> Bernoulli -> loss model), same trace-record
-        contents, same RNG stream.  The Bernoulli losses for the alive
-        receivers are ONE vectorized ``random(k)`` call — elementwise-
-        and state-identical to ``k`` scalar draws — and broadcast
-        deliveries go through
-        :meth:`TraceCollector.record_delivery_batch`, so a
-        10^4-neighbour broadcast costs one draw and one aggregate
-        counter update, not 10^4 of each.  Hoisting the draws ahead of
-        the deliver callbacks is safe because nodes draw from their own
-        per-node streams, never the radio's, and the per-link loss
-        model keeps independent per-link generators.
-        """
-        self.fast_path_frames += 1
-        self._tx_until[message.src] = -np.inf
-        self._tx_count -= 1
-        src = message.src
-        dst = message.dst
-        is_broadcast = message.is_broadcast
-        trace = self.trace
-        deliver = self._deliver
-        node_alive = self._node_alive
-        loss_model = self.loss_model
-        loss_p = self.config.loss_probability
-
-        if node_alive is None and loss_model is None and loss_p == 0.0:
-            # Lossless channel — the path a 10^5-node scale run takes:
-            # every neighbour decodes, nothing draws, nothing drops.
-            if is_broadcast:
-                trace.record_delivery_batch(record, message, receivers)
-                for receiver in receivers:
-                    deliver(receiver, message, True)
-                if self._notify_sender is not None:
-                    self._notify_sender(message, True)
-                return
-            addressee_seen = False
-            for receiver in receivers:
-                addressed = receiver == dst
-                if addressed:
-                    trace.record_delivery(record, message, receiver)
-                    addressee_seen = True
-                deliver(receiver, message, addressed)
-            if not addressee_seen:
-                trace.record_drop(None, message, dst, DropReason.NO_RECEIVER)
-            if self._notify_sender is not None:
-                self._notify_sender(message, addressee_seen)
-            return
-
-        # Faulty channel: drops must be recorded in receiver order, so
-        # resolve outcomes receiver-by-receiver — but batch the draws.
-        if node_alive is None:
-            alive_flags = None
-            n_alive = len(receivers)
-        else:
-            alive_flags = [node_alive(receiver) for receiver in receivers]
-            n_alive = sum(alive_flags)
-        draws = (
-            self._rng.random(n_alive) if loss_p > 0.0 and n_alive else None
-        )
-        now = self.engine.now
-        addressee_got_it = is_broadcast
-        addressee_seen = is_broadcast
-        delivered: List[int] = []
-        draw_index = 0
-        for slot, receiver in enumerate(receivers):
-            if alive_flags is not None and not alive_flags[slot]:
-                trace.record_drop(
-                    record, message, receiver, DropReason.RECEIVER_DEAD
-                )
-                decoded = False
-            else:
-                if draws is not None:
-                    lost = draws[draw_index] < loss_p
-                    draw_index += 1
-                else:
-                    lost = False
-                if lost:
-                    trace.record_drop(
-                        record, message, receiver, DropReason.RANDOM_LOSS
-                    )
-                    decoded = False
-                elif loss_model is not None and loss_model(
-                    src, receiver, now
-                ):
-                    trace.record_drop(
-                        record, message, receiver, DropReason.BURST_LOSS
-                    )
-                    decoded = False
-                else:
-                    delivered.append(receiver)
-                    decoded = True
-            if not is_broadcast and receiver == dst:
-                addressee_seen = True
-                addressee_got_it = decoded
-        if is_broadcast:
-            trace.record_delivery_batch(record, message, delivered)
-            for receiver in delivered:
-                deliver(receiver, message, True)
-        else:
-            for receiver in delivered:
-                addressed = receiver == dst
-                if addressed:
-                    trace.record_delivery(record, message, receiver)
-                deliver(receiver, message, addressed)
-        if not addressee_seen:
-            trace.record_drop(None, message, dst, DropReason.NO_RECEIVER)
-        if self._notify_sender is not None:
-            self._notify_sender(message, addressee_got_it)
-
-    def _conclude_reception(
-        self,
-        reception: Reception,
-        message: Message,
-        alive: Optional[bool] = None,
-        loss_draw: Optional[float] = None,
-    ) -> bool:
-        """Conclude one reception; returns True when it was decoded.
-
-        ``alive``/``loss_draw``, when given, carry outcomes precomputed
-        by the batch pre-pass in :meth:`_finish_transmission` (one
-        liveness probe, one vectorized draw) so they are not redone here.
-        """
-        receiver = reception.receiver
-        if reception.collided:
-            # The ruin cause was recorded when the reception was
-            # flagged; re-deriving it here from is_transmitting() at
-            # end-of-frame misattributed half-duplex ruins whose
-            # blocking transmission had already ended.
-            reason = reception.ruin_reason or DropReason.COLLISION
-            self.trace.record_drop(reception.record, message, receiver, reason)
-            return False
-        if alive is None:
-            alive = self._node_alive is None or self._node_alive(receiver)
-        if not alive:
-            self.trace.record_drop(
-                reception.record, message, receiver, DropReason.RECEIVER_DEAD
-            )
-            return False
-        loss_p = self.config.loss_probability
-        if loss_p > 0.0:
-            draw = self._rng.random() if loss_draw is None else loss_draw
-            if draw < loss_p:
-                self.trace.record_drop(
-                    reception.record, message, receiver, DropReason.RANDOM_LOSS
-                )
-                return False
-        if self.loss_model is not None and self.loss_model(
-            message.src, receiver, self.engine.now
-        ):
-            self.trace.record_drop(
-                reception.record, message, receiver, DropReason.BURST_LOSS
-            )
-            return False
-        addressed = message.is_broadcast or message.dst == receiver
-        if addressed:
-            self.trace.record_delivery(reception.record, message, receiver)
-        self._deliver(receiver, message, addressed)
-        return True
+def _slot_of(receivers: Tuple[int, ...], node_id: int) -> int:
+    """``node_id``'s position in the sorted ``receivers`` tuple, or -1."""
+    slot = bisect_left(receivers, node_id)
+    if slot < len(receivers) and receivers[slot] == node_id:
+        return slot
+    return -1
 
 
-#: Outcome codes used by the batch resolver beyond the ruin codes.
+#: Outcome codes used by ``_conclude`` beyond the ruin codes.
 _CODE_DEAD = 3
 _CODE_RANDOM_LOSS = 4
 _CODE_BURST_LOSS = 5

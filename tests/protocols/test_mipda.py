@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import IpdaConfig, RngStreams
+from repro import IpdaConfig, RngStreams, RobustnessConfig
 from repro.errors import ProtocolError
 from repro.net.topology import random_deployment
 from repro.protocols.mipda import MipdaProtocol
@@ -40,6 +40,14 @@ class TestPalette:
     def test_other_undefined_for_extra_colors(self):
         with pytest.raises(ValueError):
             _ = TreeColor.GREEN.other
+
+
+class TestConfig:
+    def test_robustness_rejected(self):
+        # mIPDA has no ACK/retry or piece-accounting path; accepting the
+        # knob would half-activate iPDA's robust code it inherits.
+        with pytest.raises(ProtocolError, match="robustness"):
+            MipdaProtocol(3, IpdaConfig(robustness=RobustnessConfig()))
 
 
 class TestCleanRounds:

@@ -6,10 +6,10 @@ the whole fan-out at end-of-frame in vectorized batches.  That rewrite
 is only legal if it is *observably identical* to the historical
 per-``Reception`` loop: same deliveries in the same order, same drop
 records and reasons, same RNG draw sequence, same sender feedback.
-These tests run identical workloads down both resolvers (via the
-``_force_legacy_collisions`` hook, which retains the old code path) and
-diff everything the simulator can observe — plus regression tests for
-the drop-reason misattribution bug fixed in the same PR.
+These tests run identical workloads through the production medium and
+the retained per-``Reception`` oracle (``radio_oracle.LegacyRadioMedium``)
+and diff everything the simulator can observe — plus regression tests
+for the drop-reason misattribution bug.
 """
 
 from __future__ import annotations
@@ -23,130 +23,38 @@ from repro.sim.messages import BROADCAST, HelloMessage
 from repro.sim.radio import RadioConfig, RadioMedium
 from repro.sim.trace import DropReason, TraceCollector
 
-
-class CollisionRun:
-    """One contended run over a 4x4 grid, recording everything.
-
-    Every node fires ``frames_per_node`` frames; the schedule staggers
-    starts by less than one airtime (22-byte HELLO at 1 Mbps = 176 µs),
-    so neighbouring fan-outs overlap heavily: collisions, half-duplex
-    ruins (feedback-driven follow-up frames start while the sender is
-    still receiving others), and clean deliveries all occur in bulk.
-    """
-
-    def __init__(
-        self,
-        *,
-        force_legacy: bool,
-        loss_probability: float = 0.0,
-        dead_nodes=(),
-        loss_model=None,
-        keep_frames: bool = True,
-        detail: str = "full",
-        frames_per_node: int = 4,
-        unicast: bool = False,
-        stagger: float = 1e-4,
-    ):
-        self.topology = grid_deployment(4, 4, spacing=30.0, radio_range=45.0)
-        self.engine = EventEngine()
-        self.trace = TraceCollector(keep_frames=keep_frames, detail=detail)
-        self.delivered = []
-        self.feedback = []
-        dead = set(dead_nodes)
-        self.radio = RadioMedium(
-            engine=self.engine,
-            topology=self.topology,
-            trace=self.trace,
-            # Record src, not frame_id: frame ids come from a global
-            # counter and differ between the two runs being diffed.
-            deliver=lambda r, m, a: self.delivered.append(
-                (self.engine.now, r, m.src, a)
-            ),
-            rng=np.random.default_rng(777),
-            config=RadioConfig(
-                collisions_enabled=True, loss_probability=loss_probability
-            ),
-            notify_sender=self._on_feedback,
-            node_alive=(lambda nid: nid not in dead) if dead else None,
-        )
-        self.radio._force_legacy_collisions = force_legacy
-        if loss_model is not None:
-            self.radio.loss_model = loss_model
-        self._remaining = {
-            nid: frames_per_node for nid in range(self.topology.node_count)
-        }
-        self._unicast = unicast
-        for nid in range(self.topology.node_count):
-            self.engine.schedule(
-                stagger * (nid + 1), lambda nid=nid: self._send(nid)
-            )
-        self.engine.run()
-
-    def _send(self, nid):
-        self._remaining[nid] -= 1
-        dst = (
-            (nid + 1) % self.topology.node_count
-            if self._unicast
-            else BROADCAST
-        )
-        self.radio.transmit(HelloMessage(src=nid, dst=dst))
-
-    def _on_feedback(self, message, ok):
-        self.feedback.append((message.src, ok))
-        if self._remaining[message.src]:
-            # Re-send immediately at end-of-frame: back-to-back frames
-            # whose receptions elsewhere overlap the follow-up exactly
-            # at its start boundary, plus sender-side half-duplex ruin
-            # of everything still inbound.
-            self._send(message.src)
-
-
-def _assert_equivalent(**kwargs):
-    batch = CollisionRun(force_legacy=False, **kwargs)
-    legacy = CollisionRun(force_legacy=True, **kwargs)
-    # Every observable the simulator exposes must match bit-for-bit.
-    assert batch.delivered == legacy.delivered
-    assert batch.feedback == legacy.feedback
-    assert batch.trace.summary() == legacy.trace.summary()
-    assert batch.engine.now == legacy.engine.now
-    assert batch.radio.generic_frames == legacy.radio.generic_frames
-    # The post-run RNG state proves both paths drew identically.
-    assert batch.radio._rng.random() == legacy.radio._rng.random()
-    if kwargs.get("keep_frames", True):
-        batch_frames = [
-            (f.kind, f.src, f.dst, f.delivered_to, f.dropped_at)
-            for f in batch.trace.frames
-        ]
-        legacy_frames = [
-            (f.kind, f.src, f.dst, f.delivered_to, f.dropped_at)
-            for f in legacy.trace.frames
-        ]
-        assert batch_frames == legacy_frames
-    return batch, legacy
+from radio_oracle import DifferentialRun, LegacyRadioMedium, assert_equivalent
 
 
 class TestBatchResolverEquivalence:
     def test_contended_broadcast_storm(self):
-        batch, _ = _assert_equivalent()
+        batch, _ = assert_equivalent()
         # The schedule must actually have produced collisions, or this
         # suite proves nothing.
         assert batch.trace.dropped_count[DropReason.COLLISION] > 0
 
+    def test_contended_storm_without_liveness_probe(self):
+        # Bare medium: frames nothing ruined take the "nothing can drop"
+        # batch delivery.
+        assert_equivalent(probe_liveness=False)
+        assert_equivalent(probe_liveness=False, unicast=True)
+
     def test_half_duplex_ruins_present(self):
-        batch, _ = _assert_equivalent(frames_per_node=6, stagger=0.9e-4)
+        batch, _ = assert_equivalent(frames_per_node=6, stagger=0.9e-4)
         assert batch.trace.dropped_count[DropReason.HALF_DUPLEX] > 0
 
     def test_unicast_feedback_and_out_of_range_addressee(self):
         # (nid+1) addressing includes the 15 -> 0 wrap, which is out of
         # radio range on the grid: exercises the NO_RECEIVER drop and
         # the per-addressee ACK outcome under contention.
-        _assert_equivalent(unicast=True)
+        assert_equivalent(unicast=True)
 
     def test_bernoulli_loss_draws_in_same_order(self):
-        _assert_equivalent(loss_probability=0.3)
+        assert_equivalent(loss_probability=0.3)
 
     def test_dead_receivers(self):
-        _assert_equivalent(dead_nodes=(5, 6, 10), loss_probability=0.2)
+        assert_equivalent(dead_nodes=(5, 6, 10))
+        assert_equivalent(dead_nodes=(5, 6, 10), loss_probability=0.2)
 
     def test_bernoulli_and_burst_model_stacking(self):
         # Gilbert–Elliott-style stateful model on top of the flat
@@ -161,13 +69,13 @@ class TestBatchResolverEquivalence:
 
             return model
 
-        batch = CollisionRun(
-            force_legacy=False,
+        batch = DifferentialRun(
+            legacy=False,
             loss_probability=0.15,
             loss_model=model_factory(calls_batch),
         )
-        legacy = CollisionRun(
-            force_legacy=True,
+        legacy = DifferentialRun(
+            legacy=True,
             loss_probability=0.15,
             loss_model=model_factory(calls_legacy),
         )
@@ -178,7 +86,7 @@ class TestBatchResolverEquivalence:
         assert batch.radio._rng.random() == legacy.radio._rng.random()
 
     def test_everything_at_once(self):
-        batch, _ = _assert_equivalent(
+        batch, _ = assert_equivalent(
             unicast=True,
             loss_probability=0.25,
             dead_nodes=(3, 9),
@@ -192,14 +100,15 @@ class TestBatchResolverEquivalence:
         assert DropReason.RECEIVER_DEAD in reasons
 
     def test_counters_only_trace(self):
-        _assert_equivalent(keep_frames=False, detail="counters")
+        assert_equivalent(keep_frames=False, detail="counters")
 
 
-def _bare_radio(nodes=5, **config_kwargs):
+def _bare_radio(nodes=5, legacy=False, **config_kwargs):
     topology = grid_deployment(1, nodes, spacing=40.0, radio_range=50.0)
     engine = EventEngine()
     trace = TraceCollector(keep_frames=True)
-    radio = RadioMedium(
+    medium = LegacyRadioMedium if legacy else RadioMedium
+    radio = medium(
         engine=engine,
         topology=topology,
         trace=trace,
@@ -223,8 +132,7 @@ class TestBoundaryScenarios:
     def _run_both(self, schedule):
         results = []
         for legacy in (False, True):
-            engine, radio, trace = _bare_radio()
-            radio._force_legacy_collisions = legacy
+            engine, radio, trace = _bare_radio(legacy=legacy)
             for time, src, dst in schedule:
                 engine.schedule(
                     time,
@@ -291,19 +199,23 @@ class TestBoundaryScenarios:
         assert trace.delivered_count["hello"] == 2
 
     def test_ledger_empty_after_run(self):
-        engine, radio, trace = _bare_radio()
-        for src in (0, 1, 2, 3, 4):
-            engine.schedule(
-                AIRTIME * 0.3 * src,
-                lambda src=src: radio.transmit(
-                    HelloMessage(src=src, dst=BROADCAST)
-                ),
-            )
-        engine.run()
-        assert radio._in_flight == []
-        assert not (radio._tx_until > -np.inf).any()
-        assert radio._tx_count == 0
-        assert radio._active_receptions == {}
+        for legacy in (False, True):
+            engine, radio, trace = _bare_radio(legacy=legacy)
+            for src in (0, 1, 2, 3, 4):
+                engine.schedule(
+                    AIRTIME * 0.3 * src,
+                    lambda src=src: radio.transmit(
+                        HelloMessage(src=src, dst=BROADCAST)
+                    ),
+                )
+            engine.run()
+            assert radio._in_flight == []
+            assert not (radio._tx_until > -np.inf).any()
+            assert radio._tx_count == 0
+            assert radio.generic_frames == 5
+            assert radio.fast_path_frames == 0
+            if legacy:
+                assert radio._active_receptions == {}
 
 
 class TestDropReasonRegression:
@@ -322,8 +234,7 @@ class TestDropReasonRegression:
         # to node 2 at t=0.5 airtime; node 2 is still busy then, but
         # idle by the *end* of node 1's frame — the pre-fix code
         # therefore mislabeled this drop COLLISION.
-        engine, radio, trace = _bare_radio()
-        radio._force_legacy_collisions = legacy
+        engine, radio, trace = _bare_radio(legacy=legacy)
         engine.schedule(
             0.0, lambda: radio.transmit(HelloMessage(src=2, dst=BROADCAST))
         )
@@ -348,8 +259,7 @@ class TestDropReasonRegression:
         # Node 2 is busy sending when frames from 1 AND 3 arrive and
         # also overlap each other there: first cause (half-duplex) wins
         # over the later collision ruin.
-        engine, radio, trace = _bare_radio()
-        radio._force_legacy_collisions = legacy
+        engine, radio, trace = _bare_radio(legacy=legacy)
         engine.schedule(
             0.0, lambda: radio.transmit(HelloMessage(src=2, dst=BROADCAST))
         )

@@ -1,130 +1,58 @@
-"""Equivalence and bookkeeping tests for the radio's perfect-channel
-fast path.
+"""Equivalence and bookkeeping tests for the radio's perfect channel.
 
-With collisions disabled the medium skips the per-receiver Reception
-objects entirely (``_finish_fast``).  That shortcut is only legal if it
-is *observably identical* to the general path: same deliveries in the
-same order, same drop records, same RNG draw sequence, same sender
-feedback.  These tests run identical workloads down both paths (via the
-``_force_generic_finish`` hook) and diff everything the simulator can
-observe.
+With collisions disabled the medium keeps no in-flight ledger
+(``_finish_fast``), and every frame goes through the same end-of-frame
+routine as the collision path.  These tests run the shared differential workload
+(``radio_oracle.DifferentialRun``) with collisions off through the
+production medium and the per-``Reception`` oracle, and diff everything
+the simulator can observe: deliveries and their order, drop records,
+the RNG draw sequence and sender feedback.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.net.topology import grid_deployment
 from repro.sim.engine import EventEngine
 from repro.sim.messages import BROADCAST, HelloMessage
 from repro.sim.radio import RadioConfig, RadioMedium
-from repro.sim.trace import DropReason, TraceCollector
+from repro.sim.trace import TraceCollector
+
+from radio_oracle import DifferentialRun, assert_equivalent
 
 
-class Run:
-    """One broadcast-storm run over a 4x4 grid, recording everything."""
-
-    def __init__(
-        self,
-        *,
-        force_generic: bool,
-        loss_probability: float = 0.0,
-        dead_nodes=(),
-        loss_model=None,
-        keep_frames: bool = True,
-        frames_per_node: int = 4,
-        unicast: bool = False,
-    ):
-        self.topology = grid_deployment(4, 4, spacing=30.0, radio_range=45.0)
-        self.engine = EventEngine()
-        self.trace = TraceCollector(keep_frames=keep_frames)
-        self.delivered = []
-        self.feedback = []
-        dead = set(dead_nodes)
-        self.radio = RadioMedium(
-            engine=self.engine,
-            topology=self.topology,
-            trace=self.trace,
-            # Record src, not frame_id: frame ids come from a global
-            # counter and differ between the two runs being diffed.
-            deliver=lambda r, m, a: self.delivered.append(
-                (self.engine.now, r, m.src, a)
-            ),
-            rng=np.random.default_rng(777),
-            config=RadioConfig(
-                collisions_enabled=False, loss_probability=loss_probability
-            ),
-            notify_sender=self._on_feedback,
-            node_alive=lambda nid: nid not in dead,
-        )
-        self.radio._force_generic_finish = force_generic
-        if loss_model is not None:
-            self.radio.loss_model = loss_model
-        self._remaining = {
-            nid: frames_per_node for nid in range(self.topology.node_count)
-        }
-        self._unicast = unicast
-        for nid in range(self.topology.node_count):
-            self.engine.schedule(
-                1e-4 * (nid + 1), lambda nid=nid: self._send(nid)
-            )
-        self.engine.run()
-
-    def _send(self, nid):
-        self._remaining[nid] -= 1
-        dst = (
-            (nid + 1) % self.topology.node_count
-            if self._unicast
-            else BROADCAST
-        )
-        self.radio.transmit(HelloMessage(src=nid, dst=dst))
-
-    def _on_feedback(self, message, ok):
-        self.feedback.append((message.src, ok))
-        if self._remaining[message.src]:
-            self._send(message.src)
-
-
-def _assert_equivalent(**kwargs):
-    fast = Run(force_generic=False, **kwargs)
-    generic = Run(force_generic=True, **kwargs)
-    # Every observable the simulator exposes must match bit-for-bit.
-    assert fast.delivered == generic.delivered
-    assert fast.feedback == generic.feedback
-    assert fast.trace.summary() == generic.trace.summary()
-    assert fast.engine.now == generic.engine.now
-    # The post-run RNG state proves both paths drew identically.
-    assert fast.radio._rng.random() == generic.radio._rng.random()
-    if kwargs.get("keep_frames", True):
-        fast_frames = [
-            (f.kind, f.src, f.dst, f.delivered_to, f.dropped_at)
-            for f in fast.trace.frames
-        ]
-        generic_frames = [
-            (f.kind, f.src, f.dst, f.delivered_to, f.dropped_at)
-            for f in generic.trace.frames
-        ]
-        assert fast_frames == generic_frames
+def _assert_clean_equivalent(**kwargs):
+    return assert_equivalent(collisions_enabled=False, **kwargs)
 
 
 class TestFastPathEquivalence:
     def test_clean_broadcast(self):
-        _assert_equivalent()
+        # Liveness probe installed, every node alive, no loss: the
+        # configuration a lossless Network run uses.
+        _assert_clean_equivalent()
+
+    def test_clean_broadcast_without_liveness_probe(self):
+        # Bare medium: nothing can drop, so the fan-out resolves in one
+        # batch.
+        _assert_clean_equivalent(probe_liveness=False)
+        _assert_clean_equivalent(probe_liveness=False, unicast=True)
 
     def test_bernoulli_loss_draws_in_same_order(self):
-        _assert_equivalent(loss_probability=0.3)
+        _assert_clean_equivalent(loss_probability=0.3)
 
     def test_dead_receivers(self):
-        _assert_equivalent(dead_nodes=(5, 6, 10), loss_probability=0.2)
+        _assert_clean_equivalent(dead_nodes=(5, 6, 10))
+        _assert_clean_equivalent(dead_nodes=(5, 6, 10), loss_probability=0.2)
 
     def test_unicast_with_overhearing_and_out_of_range_addressee(self):
         # (nid+1) addressing includes the 15 -> 0 wrap, which is out of
         # radio range on the grid: exercises the NO_RECEIVER drop.
-        _assert_equivalent(unicast=True, loss_probability=0.1)
+        _assert_clean_equivalent(unicast=True)
+        _assert_clean_equivalent(unicast=True, loss_probability=0.1)
 
     def test_burst_loss_model_called_identically(self):
-        calls_fast, calls_generic = [], []
+        calls_fast, calls_legacy = [], []
 
         def model_factory(log):
             def model(src, dst, now):
@@ -133,23 +61,33 @@ class TestFastPathEquivalence:
 
             return model
 
-        fast = Run(force_generic=False, loss_model=model_factory(calls_fast))
-        generic = Run(
-            force_generic=True, loss_model=model_factory(calls_generic)
+        fast = DifferentialRun(
+            legacy=False,
+            collisions_enabled=False,
+            loss_model=model_factory(calls_fast),
         )
-        assert calls_fast == calls_generic
-        assert fast.delivered == generic.delivered
-        assert fast.trace.summary() == generic.trace.summary()
+        legacy = DifferentialRun(
+            legacy=True,
+            collisions_enabled=False,
+            loss_model=model_factory(calls_legacy),
+        )
+        assert calls_fast == calls_legacy
+        assert fast.delivered == legacy.delivered
+        assert fast.trace.summary() == legacy.trace.summary()
 
     def test_counters_only_trace(self):
-        _assert_equivalent(keep_frames=False)
+        _assert_clean_equivalent(keep_frames=False, detail="counters")
 
     def test_fast_path_leaves_no_reception_state(self):
-        run = Run(force_generic=False, loss_probability=0.1)
-        assert run.radio._active_receptions == {}
+        run = DifferentialRun(
+            legacy=False, collisions_enabled=False, loss_probability=0.1
+        )
         assert run.radio._in_flight == []
         assert not (run.radio._tx_until > -np.inf).any()
         assert run.radio._tx_count == 0
+        # Every frame concluded on the collisions-off path.
+        assert run.radio.fast_path_frames == run.trace.total_frames_sent
+        assert run.radio.generic_frames == 0
 
 
 class TestStaleTransmitterPruning:
