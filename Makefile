@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench reproduce figures examples clean
+.PHONY: install test bench perfbench reproduce figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -16,6 +16,13 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# End-to-end benchmark, untraced, every workload at the baseline seed.
+perfbench:
+	@for workload in ipda-round-5k fig7-sweep serve-mixed-200; do \
+		python3 perfbench/run.py --workload $$workload --seed 7 \
+			--seconds 35 --trace 0 || exit 1; \
+	done
 
 reproduce:
 	$(PYTHON) -m repro all --csv results/ --svg results/figures/

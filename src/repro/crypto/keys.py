@@ -84,11 +84,20 @@ class PairwiseKeyScheme(KeyManagementScheme):
             raise CryptoError("node_count must be >= 0")
         self.node_count = node_count
         self._seed = seed
+        #: derived link keys, keyed on the normalized ``(lo, hi)`` pair.
+        self._keys: Dict[Tuple[int, int], bytes] = {}
 
     def link_key(self, a: int, b: int) -> bytes:
+        pair = self._normalize(a, b)
+        key = self._keys.get(pair)
+        if key is None:
+            self._check(*pair)
+            key = self._keys[pair] = _derive_key("pairwise", self._seed, *pair)
+        return key
+
+    def can_communicate(self, a: int, b: int) -> bool:
         lo, hi = self._normalize(a, b)
-        self._check(lo, hi)
-        return _derive_key("pairwise", self._seed, lo, hi)
+        return lo >= 0 and hi < self.node_count
 
     def key_holders(self, a: int, b: int) -> FrozenSet[int]:
         lo, hi = self._normalize(a, b)
@@ -113,10 +122,11 @@ class GlobalKeyScheme(KeyManagementScheme):
         self.node_count = node_count
         self._seed = seed
         self._all = frozenset(range(node_count))
+        self._key = _derive_key("global", seed)
 
     def link_key(self, a: int, b: int) -> bytes:
         self._normalize(a, b)
-        return _derive_key("global", self._seed)
+        return self._key
 
     def key_holders(self, a: int, b: int) -> FrozenSet[int]:
         self._normalize(a, b)
@@ -164,6 +174,8 @@ class RandomPredistributionScheme(KeyManagementScheme):
         for node_id, ring in enumerate(self._rings):
             for key_id in ring:
                 self._holders_by_key.setdefault(key_id, set()).add(node_id)
+        #: derived link keys, keyed on the shared pool key id.
+        self._keys: Dict[int, bytes] = {}
 
     def ring(self, node_id: int) -> FrozenSet[int]:
         """Return the key-id ring assigned to ``node_id``."""
@@ -181,7 +193,11 @@ class RandomPredistributionScheme(KeyManagementScheme):
         shared = self.shared_key_ids(a, b)
         if not shared:
             raise KeyNotFoundError(f"nodes {a} and {b} share no ring key")
-        return _derive_key("eg-pool", self._seed, min(shared))
+        key_id = min(shared)
+        key = self._keys.get(key_id)
+        if key is None:
+            key = self._keys[key_id] = _derive_key("eg-pool", self._seed, key_id)
+        return key
 
     def key_holders(self, a: int, b: int) -> FrozenSet[int]:
         shared = self.shared_key_ids(a, b)

@@ -192,24 +192,12 @@ def points_within_range(
     """
     if radius <= 0:
         # Degenerate ranges (only coincident points can ever pair up)
-        # predate the cell grid; keep the historical matrix semantics.
-        return _points_within_range_reference(points, radius)
+        # predate the cell grid, which needs a positive cell size; keep
+        # the historical distance-matrix semantics.
+        close = np.triu(pairwise_distances(points) <= radius, k=1)
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(close))]
     pairs = neighbor_pairs(coords_array(points), radius)
     return [(int(i), int(j)) for i, j in pairs]
-
-
-def _points_within_range_reference(
-    points: Sequence[Point], radius: float
-) -> List[Tuple[int, int]]:
-    """Original O(n^2) matrix-walk implementation, kept as the oracle
-    the cell-grid search is property-tested against."""
-    dists = pairwise_distances(points)
-    n = len(points)
-    pairs: List[Tuple[int, int]] = []
-    for i in range(n):
-        close = np.nonzero(dists[i, i + 1 :] <= radius)[0]
-        pairs.extend((i, i + 1 + int(j)) for j in close)
-    return pairs
 
 
 def iter_grid_positions(

@@ -18,11 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set
 
 from ..core.config import IpdaConfig
-from ..core.integrity import (
-    DegradationPolicy,
-    IntegrityChecker,
-    VerificationResult,
-)
+from ..core.integrity import VerificationResult
 from ..core.slicing import SliceAssembler
 from ..crypto.keys import PairwiseKeyScheme
 from ..errors import AnalysisError, ProtocolError
@@ -33,7 +29,12 @@ from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.radio import RadioConfig
 from ..sim.rng import RngStreams
-from .ipda import MAX_DEPTH_SLOTS, _IpdaBaseStation, _IpdaNode
+from .ipda import (
+    MAX_DEPTH_SLOTS,
+    _IpdaBaseStation,
+    _IpdaNode,
+    _verify_round,
+)
 
 __all__ = [
     "EpochOutcome",
@@ -223,8 +224,9 @@ class EpochedIpdaSession:
             and node.id != self.base_station
             and node.participant
         }
-        verification = self._verify(root, s_red, s_blue, participants,
-                                    magnitude)
+        verification = _verify_round(
+            self.config, root, s_red, s_blue, participants, magnitude
+        )
         outcome = EpochOutcome(
             epoch=epoch,
             s_red=s_red,
@@ -238,41 +240,6 @@ class EpochedIpdaSession:
         )
         self.history.append(outcome)
         return outcome
-
-    def _verify(
-        self,
-        root: _IpdaBaseStation,
-        s_red: int,
-        s_blue: int,
-        participants: Set[int],
-        magnitude: int,
-    ) -> VerificationResult:
-        """Bare two-way test, or the loss-tolerant three-way verdict.
-
-        Mirrors :meth:`IpdaProtocol.run_round`: with
-        ``config.robustness`` set and degradation enabled, the piece
-        counts the robust reports carried scale the acceptance
-        threshold, so epochs served through standing trees get the
-        same accept/degrade/reject classification as one-shot rounds.
-        """
-        checker = IntegrityChecker(self.config.threshold)
-        robustness = self.config.robustness
-        if robustness is None or not robustness.degradation:
-            return checker.verify(s_red, s_blue)
-        slack = robustness.piece_slack
-        if slack is None:
-            slack = magnitude * max(2, self.config.slices)
-        return checker.verify(
-            s_red,
-            s_blue,
-            pieces_red=root.tree_pieces(TreeColor.RED),
-            pieces_blue=root.tree_pieces(TreeColor.BLUE),
-            expected_pieces=len(participants) * self.config.slices,
-            policy=DegradationPolicy(
-                piece_slack=slack,
-                max_missing_fraction=robustness.max_missing_fraction,
-            ),
-        )
 
     def _reset_epoch_state(self, root: _IpdaBaseStation) -> None:
         for node in self.network.iter_nodes():

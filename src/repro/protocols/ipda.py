@@ -845,7 +845,6 @@ class IpdaProtocol(AggregationProtocol):
 
         s_red = root.tree_sum(TreeColor.RED)
         s_blue = root.tree_sum(TreeColor.BLUE)
-        checker = IntegrityChecker(self.config.threshold)
 
         participants, covered = _round_membership(network, self.base_station)
         red_aggs = sum(
@@ -859,27 +858,9 @@ class IpdaProtocol(AggregationProtocol):
             if isinstance(node, _IpdaNode) and node.color is TreeColor.BLUE
         )
 
-        robustness = self.config.robustness
-        if robustness is not None and robustness.degradation:
-            slack = robustness.piece_slack
-            if slack is None:
-                # Random pieces stay within +-magnitude but the final
-                # piece of an l-cut reaches |reading| + (l-1)*magnitude
-                # <= (l - 1/2)*magnitude, so scale with l beyond 2.
-                slack = magnitude * max(2, self.config.slices)
-            verification = checker.verify(
-                s_red,
-                s_blue,
-                pieces_red=root.tree_pieces(TreeColor.RED),
-                pieces_blue=root.tree_pieces(TreeColor.BLUE),
-                expected_pieces=len(participants) * self.config.slices,
-                policy=DegradationPolicy(
-                    piece_slack=slack,
-                    max_missing_fraction=robustness.max_missing_fraction,
-                ),
-            )
-        else:
-            verification = checker.verify(s_red, s_blue)
+        verification = _verify_round(
+            self.config, root, s_red, s_blue, participants, magnitude
+        )
         reported = verification.report_value
         retries_used = sum(
             node.retries_used
@@ -924,6 +905,45 @@ class IpdaProtocol(AggregationProtocol):
                 "frames": network.trace.frames if self.keep_frames else None,
             },
         )
+
+
+def _verify_round(
+    config: IpdaConfig,
+    root: _IpdaBaseStation,
+    s_red: int,
+    s_blue: int,
+    participants: Set[int],
+    magnitude: int,
+) -> VerificationResult:
+    """The base station's verdict: the bare two-way test, or the
+    loss-tolerant three-way one.
+
+    With ``config.robustness`` set and degradation enabled, the piece
+    counts the robust reports carried scale the acceptance threshold,
+    so one-shot rounds and epochs on standing trees get the same
+    accept/degrade/reject classification.
+    """
+    checker = IntegrityChecker(config.threshold)
+    robustness = config.robustness
+    if robustness is None or not robustness.degradation:
+        return checker.verify(s_red, s_blue)
+    slack = robustness.piece_slack
+    if slack is None:
+        # Random pieces stay within +-magnitude but the final piece of
+        # an l-cut reaches |reading| + (l-1)*magnitude
+        # <= (l - 1/2)*magnitude, so scale with l beyond 2.
+        slack = magnitude * max(2, config.slices)
+    return checker.verify(
+        s_red,
+        s_blue,
+        pieces_red=root.tree_pieces(TreeColor.RED),
+        pieces_blue=root.tree_pieces(TreeColor.BLUE),
+        expected_pieces=len(participants) * config.slices,
+        policy=DegradationPolicy(
+            piece_slack=slack,
+            max_missing_fraction=robustness.max_missing_fraction,
+        ),
+    )
 
 
 def _round_horizon(timing) -> float:

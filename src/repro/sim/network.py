@@ -72,6 +72,11 @@ class Network:
         self.streams = streams if streams is not None else RngStreams(seed)
         self.engine = EventEngine()
         self.trace = TraceCollector(keep_frames=keep_frames, detail=trace_detail)
+        #: liveness of every node, indexed by id, and how many are dead.
+        #: ``Node.kill``/``Node.revive`` keep both in sync; the radio
+        #: reads the mask only while ``dead_count`` is nonzero.
+        self.alive = np.ones(topology.node_count, dtype=bool)
+        self.dead_count = 0
         self.radio = RadioMedium(
             engine=self.engine,
             topology=topology,
@@ -80,7 +85,7 @@ class Network:
             rng=self.streams.get("radio"),
             config=radio_config,
             notify_sender=self._notify_sender,
-            node_alive=self._node_alive,
+            deliver_broadcast=self._deliver_broadcast,
         )
         self._mac_config = mac_config if mac_config is not None else MacConfig()
         self._macs: Dict[int, CsmaMac] = {}
@@ -89,6 +94,7 @@ class Network:
             node_id: factory(node_id, self)
             for node_id in range(topology.node_count)
         }
+        self.radio.overhears = self._overhear_mask()
         self.injector = None
         #: last absolute counter values harvested into a metrics
         #: registry; lets repeated run() calls report deltas only.
@@ -124,18 +130,43 @@ class Network:
         except KeyError:
             raise SimulationError(f"unknown node id {node_id}") from None
 
+    def _overhear_mask(self) -> np.ndarray:
+        """Which nodes take overheard unicasts: those whose class
+        overrides :meth:`Node.on_overhear` (decided once per class)."""
+        overrides: Dict[type, bool] = {}
+        mask = np.zeros(self.topology.node_count, dtype=bool)
+        for node_id, node in self.nodes.items():
+            cls = type(node)
+            hooked = overrides.get(cls)
+            if hooked is None:
+                hooked = overrides[cls] = cls.on_overhear is not Node.on_overhear
+            mask[node_id] = hooked
+        return mask
+
     def _deliver(self, receiver: int, message: Message, addressed: bool) -> None:
         node = self.nodes.get(receiver)
         if node is None:
             return
         node.deliver(message, addressed)
 
+    def _deliver_broadcast(self, receivers, message: Message) -> None:
+        """A broadcast's delivered fan-out, straight to each ``on_receive``."""
+        nodes = self.nodes
+        for receiver in receivers:
+            node = nodes.get(receiver)
+            if node is not None and node.alive:
+                node.on_receive(message)
+
     def _notify_sender(self, message: Message, delivered: bool) -> None:
         self.mac(message.src).transmission_result(message, delivered)
 
-    def _node_alive(self, node_id: int) -> bool:
-        node = self.nodes.get(node_id)
-        return node is None or node.alive
+    def _set_alive(self, node_id: int, alive: bool) -> None:
+        """Record a node's crash or recovery in the liveness mask."""
+        if self.alive[node_id] == alive:
+            return
+        self.alive[node_id] = alive
+        self.dead_count += -1 if alive else 1
+        self.radio.alive = self.alive if self.dead_count else None
 
     # ------------------------------------------------------------------
     # Fault entry points (used by the fault injector and tests)

@@ -16,12 +16,16 @@ attack (Section II-C) exploits.
 
 Every frame ends in one routine, :meth:`RadioMedium._conclude`, which
 walks the receivers in sorted order through the same drop stages —
-ruin at flag time, receiver alive, Bernoulli loss (one
-``rng.random(k)`` draw for the whole fan-out), per-link loss model —
-then records drops and deliveries through the batch trace APIs,
-delivers, and tells the sender's MAC.  Sorted order fixes the RNG draw
-order and therefore byte-for-byte reproducibility; the sorted tuples
-are cached per node and invalidated via ``Topology.version``.
+ruin at flag time, receiver alive (one indexed read of the
+:attr:`~RadioMedium.alive` mask), Bernoulli loss (one ``rng.random(k)``
+draw for the whole fan-out), per-link loss model — then records drops
+and deliveries through the batch trace APIs, dispatches, and tells the
+sender's MAC.  Dispatch is settled per frame, not per receiver: a
+broadcast's delivered list goes to one ``deliver_broadcast`` call, and
+a unicast reaches its addressee plus only those bystanders the
+:attr:`~RadioMedium.overhears` mask marks.  Sorted order fixes the RNG
+draw order and therefore byte-for-byte reproducibility; the sorted
+tuples are cached per node and invalidated via ``Topology.version``.
 
 With collisions enabled, frames on the air live in an in-flight ledger
 (:class:`_InFlightFrame`: one record of ``(start, end, receivers, ruin
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,9 +113,9 @@ class RadioConfig:
 class _InFlightFrame:
     """One frame on the air, as a struct-of-arrays ledger record.
 
-    ``receivers``/``receiver_set``/``slot_index`` are the sender's
-    cached sorted-neighbour views (shared across all its frames, never
-    rebuilt per transmission); ``ruin`` maps a ruined receiver's id to
+    ``receivers``/``receiver_array``/``receiver_set``/``slot_index``
+    are the sender's cached sorted-neighbour views (shared across all
+    its frames, never rebuilt per transmission); ``ruin`` maps a ruined receiver's id to
     its ``_RUIN_*`` cause code — one hash probe to test-and-mark, and
     ``len(ruin) == n_receivers`` is the "fully ruined" saturation test
     that lets a contended storm skip already-settled frame pairs.  A
@@ -128,6 +132,7 @@ class _InFlightFrame:
     sx: float
     sy: float
     receivers: Tuple[int, ...]
+    receiver_array: np.ndarray
     receiver_set: frozenset
     slot_index: Dict[int, int]
     n_receivers: int
@@ -136,15 +141,13 @@ class _InFlightFrame:
 
 
 DeliverFn = Callable[[int, Message, bool], None]
+DeliverBroadcastFn = Callable[[Sequence[int], Message], None]
 NotifySenderFn = Callable[[Message, bool], None]
 #: ``loss_model(src, dst, now) -> bool`` — True means the frame is lost
 #: on that directed link at that instant (e.g. a Gilbert–Elliott burst
 #: channel from :mod:`repro.faults`).  Applied after collision filtering
 #: and the flat Bernoulli knob, which it generalises.
 LossModelFn = Callable[[int, int, float], bool]
-#: ``node_alive(node_id) -> bool`` — a dead radio decodes nothing, so
-#: link-layer ARQ sees the crash instead of a phantom delivery.
-NodeAliveFn = Callable[[int], bool]
 
 
 class RadioMedium:
@@ -160,8 +163,13 @@ class RadioMedium:
         Byte/frame accounting sink.
     deliver:
         Callback ``deliver(receiver_id, message, addressed)`` invoked at
-        end-of-frame for every successful reception.  ``addressed`` is
-        False for overheard unicast frames.
+        end-of-frame for a unicast's addressee and for every bystander
+        that :attr:`overhears` marks (``addressed=False``).  Without
+        ``deliver_broadcast`` it also takes each broadcast reception.
+    deliver_broadcast:
+        Callback ``deliver_broadcast(receiver_ids, message)`` invoked
+        once per broadcast with its whole delivered fan-out, in receiver
+        order.
     notify_sender:
         Callback ``notify_sender(message, delivered)`` invoked at
         end-of-frame, telling the sender's MAC whether the addressee
@@ -169,6 +177,9 @@ class RadioMedium:
         always report ``delivered=True``.
     rng:
         Generator used for Bernoulli losses.
+    alive:
+        Live-receiver mask indexed by node id, or None when every node
+        is alive (see :attr:`alive`).
     """
 
     def __init__(
@@ -180,13 +191,19 @@ class RadioMedium:
         rng: np.random.Generator,
         config: Optional[RadioConfig] = None,
         notify_sender: Optional[NotifySenderFn] = None,
-        node_alive: Optional[NodeAliveFn] = None,
+        deliver_broadcast: Optional[DeliverBroadcastFn] = None,
+        alive: Optional[np.ndarray] = None,
     ):
         self.engine = engine
         self.topology = topology
         self.trace = trace
         self.config = config if config is not None else RadioConfig()
         self._deliver = deliver
+        self._deliver_broadcast = (
+            deliver_broadcast
+            if deliver_broadcast is not None
+            else self._deliver_each
+        )
         self._notify_sender = notify_sender
         self._rng = rng
         #: per-node transmission end time (-inf when idle).  All
@@ -210,7 +227,15 @@ class RadioMedium:
         self._if_y = np.empty(16)
         #: optional per-link loss process installed by the fault layer.
         self.loss_model: Optional[LossModelFn] = None
-        self._node_alive = node_alive
+        #: bool mask of live receivers, indexed by node id, or None
+        #: while every node is alive — then no frame reads liveness at
+        #: all.  A dead radio decodes nothing, so link-layer ARQ sees
+        #: the crash instead of a phantom delivery.
+        self.alive = alive
+        #: bool mask of the nodes that take overheard unicasts, indexed
+        #: by node id, or None when every bystander does (the bare
+        #: medium).  Bystanders it leaves out are not dispatched to.
+        self.overhears: Optional[np.ndarray] = None
         #: sorted neighbour tuples, keyed on Topology.version (sorted
         #: order fixes the per-frame RNG draw order).
         self._neighbor_cache: Dict[int, Tuple[int, ...]] = {}
@@ -336,14 +361,17 @@ class RadioMedium:
 
         record = self.trace.record_send(now, message)
         receivers = self._sorted_neighbors(sender)
+        receiver_array = self._neighbor_array(sender)
 
         if not config.collisions_enabled:
             # Perfect channel: no frame can collide, so skip the
             # in-flight ledger and conclude straight from the cached
-            # neighbour tuple at end-of-frame.
+            # neighbour views at end-of-frame.
             self.engine.post_at(
                 end,
-                lambda: self._finish_fast(message, receivers, record),
+                lambda: self._finish_fast(
+                    message, receivers, receiver_array, record
+                ),
                 priority=-1,
             )
             return end
@@ -357,6 +385,7 @@ class RadioMedium:
             sx=float(coords[sender, 0]),
             sy=float(coords[sender, 1]),
             receivers=receivers,
+            receiver_array=receiver_array,
             receiver_set=self._neighbor_set(sender),
             slot_index=self._neighbor_slot_index(sender),
             n_receivers=len(receivers),
@@ -497,6 +526,7 @@ class RadioMedium:
             entry.message,
             entry.record,
             entry.receivers,
+            entry.receiver_array,
             entry.ruin,
             entry.slot_index,
         )
@@ -505,6 +535,7 @@ class RadioMedium:
         self,
         message: Message,
         receivers: Tuple[int, ...],
+        receiver_array: np.ndarray,
         record: Optional[FrameRecord],
     ) -> None:
         """End-of-frame on a collisions-off channel (no ledger record).
@@ -515,54 +546,44 @@ class RadioMedium:
         self.fast_path_frames += 1
         self._tx_until[message.src] = -np.inf
         self._tx_count -= 1
-        self._conclude(message, record, receivers, {})
+        self._conclude(message, record, receivers, receiver_array, {})
 
     def _conclude(
         self,
         message: Message,
         record: Optional[FrameRecord],
         receivers: Tuple[int, ...],
+        receiver_array: np.ndarray,
         ruin_map: Dict[int, int],
         slot_index: Optional[Dict[int, int]] = None,
     ) -> None:
         """Resolve, record and dispatch one frame's whole fan-out.
 
         ``receivers`` is the sender's sorted neighbour tuple and
-        ``ruin_map`` holds the ``_RUIN_*`` causes flagged while the
-        frame was on the air; ``slot_index`` (receiver -> position in
-        ``receivers``) places those ruins and is needed only when there
-        are any.  Each surviving receiver then passes, in receiver
-        order, through the liveness probe, the Bernoulli draw (ONE
-        ``rng.random(k)`` call — elementwise- and state-identical to
-        ``k`` scalar draws) and the loss model.  Outcomes are resolved
-        before any deliver callback runs, which is safe because nodes
-        draw from their own per-node streams, never the radio's, and
-        the loss model keeps its own per-link state.
+        ``receiver_array`` the same ids as an int64 array; ``ruin_map``
+        holds the ``_RUIN_*`` causes flagged while the frame was on the
+        air, and ``slot_index`` (receiver -> position in ``receivers``)
+        places them, needed only when there are any.  The surviving
+        receivers then pass, in receiver order, through the liveness
+        mask (one indexed read, skipped while every node is alive), the
+        Bernoulli draw (ONE ``rng.random(k)`` call — elementwise- and
+        state-identical to ``k`` scalar draws) and the loss model.
+        Outcomes are resolved before any deliver callback runs, which is
+        safe because nodes draw from their own per-node streams, never
+        the radio's, and the loss model keeps its own per-link state.
         """
-        trace = self.trace
-        dst = message.dst
-        is_broadcast = message.is_broadcast
-        node_alive = self._node_alive
+        alive = self.alive
         loss_model = self.loss_model
         loss_p = self.config.loss_probability
 
         if (
             not ruin_map
-            and node_alive is None
+            and alive is None
             and loss_model is None
             and loss_p == 0.0
         ):
             # Nothing can drop: resolve the whole fan-out as delivered.
-            self._record_deliveries(
-                message,
-                record,
-                receivers,
-                is_broadcast,
-                dst,
-                addressee_decoded=True
-                if is_broadcast or _slot_of(receivers, dst) >= 0
-                else None,
-            )
+            self._dispatch(message, record, receivers, receiver_array, None)
             return
 
         n_receivers = len(receivers)
@@ -571,7 +592,7 @@ class RadioMedium:
             # storm): nothing survives to probe liveness, draw loss, or
             # consult the loss model.  Emit the drops straight from the
             # ruin map, in receiver order.
-            trace.record_drop_batch(
+            self.trace.record_drop_batch(
                 record,
                 message,
                 [
@@ -579,15 +600,12 @@ class RadioMedium:
                     for receiver in receivers
                 ],
             )
-            self._record_deliveries(
+            self._dispatch(
                 message,
                 record,
-                (),
-                is_broadcast,
-                dst,
-                addressee_decoded=True
-                if is_broadcast
-                else (False if _slot_of(receivers, dst) >= 0 else None),
+                receivers,
+                receiver_array,
+                np.zeros(n_receivers, dtype=bool),
             )
             return
 
@@ -597,23 +615,13 @@ class RadioMedium:
         if ruin_map:
             for receiver, cause in ruin_map.items():
                 code[slot_index[receiver]] = cause
-        if node_alive is not None:
-            # Liveness probes only for the non-ruined receivers, in
-            # receiver order.
+        if alive is not None:
+            # Dead among the non-ruined receivers (a ruin recorded at
+            # flag time keeps its cause).
+            dead = ~alive[receiver_array]
             if ruin_map:
-                dead = [
-                    slot
-                    for slot in np.flatnonzero(code == _RUIN_NONE)
-                    if not node_alive(receivers[slot])
-                ]
-            else:
-                dead = [
-                    slot
-                    for slot, receiver in enumerate(receivers)
-                    if not node_alive(receiver)
-                ]
-            if dead:
-                code[dead] = _CODE_DEAD
+                dead &= code == _RUIN_NONE
+            code[dead] = _CODE_DEAD
         eligible = np.flatnonzero(code == _RUIN_NONE)
         if loss_p > 0.0 and len(eligible):
             # ONE vectorized draw for every eligible receiver —
@@ -631,7 +639,7 @@ class RadioMedium:
 
         dropped_slots = np.flatnonzero(code)
         if len(dropped_slots):
-            trace.record_drop_batch(
+            self.trace.record_drop_batch(
                 record,
                 message,
                 [
@@ -639,55 +647,77 @@ class RadioMedium:
                     for slot in dropped_slots
                 ],
             )
-        addressee = _slot_of(receivers, dst)
-        if addressee >= 0:
-            addressee_decoded = bool(code[addressee] == _RUIN_NONE)
-        else:
-            addressee_decoded = None
-        self._record_deliveries(
-            message,
-            record,
-            [receivers[slot] for slot in np.flatnonzero(code == _RUIN_NONE)],
-            is_broadcast,
-            dst,
-            addressee_decoded=addressee_decoded,
+        self._dispatch(
+            message, record, receivers, receiver_array, code == _RUIN_NONE
         )
 
-    def _record_deliveries(
+    def _dispatch(
         self,
         message: Message,
         record: Optional[FrameRecord],
-        delivered,
-        is_broadcast: bool,
-        dst: int,
-        addressee_decoded: Optional[bool] = True,
+        receivers: Tuple[int, ...],
+        receiver_array: np.ndarray,
+        decoded: Optional[np.ndarray],
     ) -> None:
-        """Account and dispatch the delivered fan-out, then notify.
+        """Account and dispatch the decoded fan-out, then notify.
 
-        ``delivered`` is the decoded subset in receiver order;
-        ``addressee_decoded`` the unicast ACK outcome (``None`` when the
-        addressee is out of radio range — recorded as NO_RECEIVER);
-        broadcasts always acknowledge.
+        ``decoded`` is a bool mask over the receiver slots, or None when
+        every receiver decoded the frame.  A broadcast goes to
+        ``deliver_broadcast`` in one call and always acknowledges.  A
+        unicast is recorded as delivered at its addressee only; one
+        indexed read of :attr:`overhears` picks the bystanders that are
+        dispatched to at all, and the ACK reports whether the addressee
+        decoded (an addressee out of range is a NO_RECEIVER drop).
         """
         trace = self.trace
-        deliver = self._deliver
-        if is_broadcast:
+        notify = self._notify_sender
+        if message.is_broadcast:
+            if decoded is None:
+                delivered = receivers
+            else:
+                delivered = [receivers[slot] for slot in np.flatnonzero(decoded)]
             trace.record_delivery_batch(record, message, delivered)
-            for receiver in delivered:
-                deliver(receiver, message, True)
-            if self._notify_sender is not None:
-                self._notify_sender(message, True)
+            self._deliver_broadcast(delivered, message)
+            if notify is not None:
+                notify(message, True)
             return
-        for receiver in delivered:
-            addressed = receiver == dst
-            if addressed:
+        dst = message.dst
+        addressee = _slot_of(receivers, dst)
+        overhears = self.overhears
+        if overhears is None:
+            listening = decoded
+        else:
+            listening = overhears[receiver_array]
+            if addressee >= 0:
+                listening[addressee] = True
+            if decoded is not None:
+                listening &= decoded
+        deliver = self._deliver
+        for slot in (
+            range(len(receivers))
+            if listening is None
+            else np.flatnonzero(listening)
+        ):
+            receiver = receivers[slot]
+            if receiver == dst:
                 trace.record_delivery(record, message, receiver)
-            deliver(receiver, message, addressed)
-        if addressee_decoded is None:
+                deliver(receiver, message, True)
+            else:
+                deliver(receiver, message, False)
+        if addressee < 0:
             # Unicast to a node outside radio range: nobody to decode it.
             trace.record_drop(None, message, dst, DropReason.NO_RECEIVER)
-        if self._notify_sender is not None:
-            self._notify_sender(message, bool(addressee_decoded))
+        if notify is not None:
+            notify(
+                message,
+                addressee >= 0 and (decoded is None or bool(decoded[addressee])),
+            )
+
+    def _deliver_each(self, receivers: Sequence[int], message: Message) -> None:
+        """Broadcast fan-out through ``deliver`` when no batch entry is set."""
+        deliver = self._deliver
+        for receiver in receivers:
+            deliver(receiver, message, True)
 
 
 def _slot_of(receivers: Tuple[int, ...], node_id: int) -> int:

@@ -8,6 +8,7 @@ from repro.crypto.keys import (
     GlobalKeyScheme,
     PairwiseKeyScheme,
     RandomPredistributionScheme,
+    _derive_key,
 )
 from repro.errors import CryptoError, KeyNotFoundError
 
@@ -125,3 +126,97 @@ class TestRandomPredistribution:
             RandomPredistributionScheme(5, pool_size=10, ring_size=11)
         with pytest.raises(CryptoError):
             RandomPredistributionScheme(5, pool_size=10, ring_size=0)
+
+
+class TestMemoisedLinkKeys:
+    """Each scheme memoises its link keys; a cached key must equal a
+    fresh derivation, whichever way round the endpoints are named."""
+
+    PAIRS = [(0, 1), (3, 8), (9, 2), (5, 4)]
+
+    def test_pairwise_matches_derivation(self):
+        scheme = PairwiseKeyScheme(10, seed=3)
+        for _ in range(2):  # cold, then memoised
+            for a, b in self.PAIRS:
+                fresh = _derive_key("pairwise", 3, min(a, b), max(a, b))
+                assert scheme.link_key(a, b) == fresh
+                assert scheme.link_key(b, a) == fresh
+
+    def test_global_matches_derivation(self):
+        scheme = GlobalKeyScheme(10, seed=3)
+        fresh = _derive_key("global", 3)
+        for a, b in self.PAIRS:
+            assert scheme.link_key(a, b) == fresh
+            assert scheme.link_key(b, a) == fresh
+
+    def test_random_predistribution_matches_derivation(self):
+        scheme = RandomPredistributionScheme(
+            10, pool_size=40, ring_size=12, seed=3
+        )
+        checked = 0
+        for _ in range(2):
+            for a, b in self.PAIRS:
+                shared = scheme.shared_key_ids(a, b)
+                if not shared:
+                    continue
+                fresh = _derive_key("eg-pool", 3, min(shared))
+                assert scheme.link_key(a, b) == fresh
+                assert scheme.link_key(b, a) == fresh
+                checked += 1
+        assert checked
+
+    def test_memo_keeps_errors(self):
+        scheme = PairwiseKeyScheme(5)
+        scheme.link_key(1, 2)
+        with pytest.raises(CryptoError):
+            scheme.link_key(2, 2)
+        with pytest.raises(KeyNotFoundError):
+            scheme.link_key(2, 7)
+        with pytest.raises(CryptoError):
+            GlobalKeyScheme(5).link_key(3, 3)
+
+
+class TestCanCommunicate:
+    """``can_communicate`` answers without deriving a key, with the same
+    True/False and the same errors as a ``link_key`` probe."""
+
+    def test_out_of_universe_id(self):
+        scheme = PairwiseKeyScheme(5)
+        assert not scheme.can_communicate(1, 5)
+        assert not scheme.can_communicate(7, 2)
+        assert not scheme.can_communicate(-1, 2)
+        assert scheme.can_communicate(0, 4)
+        eg = RandomPredistributionScheme(5, pool_size=10, ring_size=10)
+        assert not eg.can_communicate(1, 5)
+
+    def test_self_link_raises(self):
+        for scheme in (
+            PairwiseKeyScheme(5),
+            GlobalKeyScheme(5),
+            RandomPredistributionScheme(5, pool_size=10, ring_size=10),
+        ):
+            with pytest.raises(CryptoError):
+                scheme.can_communicate(2, 2)
+
+    def test_eg_rings_without_shared_key(self):
+        # Disjoint one-key rings: every pair that shares nothing
+        # cannot communicate, and link_key agrees.
+        scheme = RandomPredistributionScheme(
+            6, pool_size=100_000, ring_size=1, seed=3
+        )
+        disjoint = [
+            (a, b)
+            for a in range(6)
+            for b in range(a + 1, 6)
+            if not scheme.shared_key_ids(a, b)
+        ]
+        assert disjoint
+        for a, b in disjoint:
+            assert not scheme.can_communicate(a, b)
+            with pytest.raises(KeyNotFoundError):
+                scheme.link_key(a, b)
+
+    def test_pairwise_probe_derives_nothing(self):
+        scheme = PairwiseKeyScheme(5)
+        assert scheme.can_communicate(1, 3)
+        assert scheme._keys == {}

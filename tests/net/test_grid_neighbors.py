@@ -17,13 +17,25 @@ import pytest
 
 from repro.net.geometry import (
     Point,
-    _points_within_range_reference,
     coords_array,
     grid_coords,
     iter_grid_positions,
     neighbor_pairs,
+    pairwise_distances,
     points_within_range,
 )
+
+
+def _points_within_range_reference(points, radius):
+    """Original O(n^2) matrix-walk implementation: the oracle the
+    cell-grid search is property-tested against."""
+    dists = pairwise_distances(points)
+    n = len(points)
+    pairs = []
+    for i in range(n):
+        close = np.nonzero(dists[i, i + 1 :] <= radius)[0]
+        pairs.extend((i, i + 1 + int(j)) for j in close)
+    return pairs
 
 
 def _reference_pairs(coords: np.ndarray, radius: float):

@@ -162,13 +162,12 @@ class LegacyRadioMedium(RadioMedium):
         # `now` cannot retro-collide one ending `now`) and liveness only
         # changes through scheduled fault events, never mid-event.
         loss_p = self.config.loss_probability
-        node_alive = self._node_alive
+        alive = self.alive
         eligible = None
         draws = None
         if loss_p > 0.0 and receptions:
             eligible = [
-                not r.collided
-                and (node_alive is None or node_alive(r.receiver))
+                not r.collided and (alive is None or bool(alive[r.receiver]))
                 for r in receptions
             ]
             drawn = sum(eligible)
@@ -235,7 +234,7 @@ class LegacyRadioMedium(RadioMedium):
             self.trace.record_drop(reception.record, message, receiver, reason)
             return False
         if alive is None:
-            alive = self._node_alive is None or self._node_alive(receiver)
+            alive = self.alive is None or bool(self.alive[receiver])
         if not alive:
             self.trace.record_drop(
                 reception.record, message, receiver, DropReason.RECEIVER_DEAD
@@ -259,7 +258,8 @@ class LegacyRadioMedium(RadioMedium):
         addressed = message.is_broadcast or message.dst == receiver
         if addressed:
             self.trace.record_delivery(reception.record, message, receiver)
-        self._deliver(receiver, message, addressed)
+        if addressed or self.overhears is None or self.overhears[receiver]:
+            self._deliver(receiver, message, addressed)
         return True
 
 
@@ -274,9 +274,12 @@ class DifferentialRun:
     deliveries all occur in bulk.  With collisions off the same
     schedule exercises the perfect-channel path.
 
-    Like ``Network``, the run installs a liveness probe whether or not
-    any node is dead; ``probe_liveness=False`` leaves it out, which is
-    the bare medium's "nothing can drop" case.
+    The run installs a liveness mask (``dead_nodes`` cleared in it)
+    whether or not any node is dead, so every frame reads it;
+    ``probe_liveness=False`` installs none, which is the bare medium's
+    "nothing can drop" case.  ``overhearers``, when given, is the set
+    of nodes the overhear mask lets take overheard unicasts; by default
+    every bystander does.
     """
 
     def __init__(
@@ -287,6 +290,7 @@ class DifferentialRun:
         loss_probability: float = 0.0,
         dead_nodes=(),
         probe_liveness: bool = True,
+        overhearers=None,
         loss_model=None,
         keep_frames: bool = True,
         detail: str = "full",
@@ -299,7 +303,11 @@ class DifferentialRun:
         self.trace = TraceCollector(keep_frames=keep_frames, detail=detail)
         self.delivered = []
         self.feedback = []
-        dead = set(dead_nodes)
+        node_count = self.topology.node_count
+        alive = None
+        if probe_liveness:
+            alive = np.ones(node_count, dtype=bool)
+            alive[list(dead_nodes)] = False
         medium = LegacyRadioMedium if legacy else RadioMedium
         self.radio = medium(
             engine=self.engine,
@@ -316,10 +324,12 @@ class DifferentialRun:
                 loss_probability=loss_probability,
             ),
             notify_sender=self._on_feedback,
-            node_alive=(
-                (lambda nid: nid not in dead) if probe_liveness else None
-            ),
+            alive=alive,
         )
+        if overhearers is not None:
+            overhears = np.zeros(node_count, dtype=bool)
+            overhears[list(overhearers)] = True
+            self.radio.overhears = overhears
         if loss_model is not None:
             self.radio.loss_model = loss_model
         self._remaining = {

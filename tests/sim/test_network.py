@@ -9,6 +9,7 @@ from repro.net.topology import grid_deployment
 from repro.sim.messages import BROADCAST, HelloMessage, Message
 from repro.sim.network import Network
 from repro.sim.node import Node
+from repro.sim.trace import DropReason
 
 
 class Recorder(Node):
@@ -81,6 +82,69 @@ class TestMessaging:
         net.run()
         assert net.trace.sent_by_node[2] == 0
         assert net.node(2).received == []
+
+    def test_node_kill_drops_as_receiver_dead_until_revive(self):
+        # Node.kill() alone (not Network.kill_node) must reach the
+        # radio's liveness mask.
+        net = make_network()
+        net.node(2).kill()
+        assert net.dead_count == 1
+        assert not net.alive[2]
+        net.node(1).send(HelloMessage(src=1, dst=BROADCAST))
+        net.run()
+        assert net.trace.dropped_by_link[(1, 2)] == {
+            DropReason.RECEIVER_DEAD: 1
+        }
+        assert net.node(2).received == []
+        assert len(net.node(0).received) == 1
+
+        net.node(2).revive()
+        assert net.dead_count == 0
+        assert net.alive.all()
+        net.node(1).send(HelloMessage(src=1, dst=BROADCAST))
+        net.run()
+        assert len(net.node(2).received) == 1
+        assert net.trace.dropped_count[DropReason.RECEIVER_DEAD] == 1
+
+    def test_kill_and_revive_are_idempotent(self):
+        net = make_network()
+        net.node(2).kill()
+        net.node(2).kill()
+        assert net.dead_count == 1
+        net.node(2).revive()
+        net.node(2).revive()
+        assert net.dead_count == 0
+
+    def test_overhearers_get_every_unicast_and_trace_is_unchanged(self):
+        def run(factory):
+            topology = grid_deployment(2, 3, spacing=40.0, radio_range=60.0)
+            net = Network(topology, factory, seed=3, keep_frames=True)
+            for node in net.iter_nodes():
+                for dst in sorted(node.neighbors()):
+                    node.send(HelloMessage(src=node.id, dst=dst))
+            net.run()
+            frames = [
+                (f.src, f.dst, f.delivered_to, f.dropped_at)
+                for f in net.trace.frames
+            ]
+            return net, frames, net.trace.summary()
+
+        recorded, recorded_frames, recorded_summary = run(Recorder)
+        plain, plain_frames, plain_summary = run(None)
+        assert recorded_frames == plain_frames
+        assert recorded_summary == plain_summary
+        assert recorded.engine.now == plain.engine.now
+        # Every decoded reception of a unicast by a bystander reached
+        # its on_overhear hook.
+        heard = {}
+        for frame in recorded.trace.frames:
+            lost = {receiver for receiver, _reason in frame.dropped_at}
+            for receiver in recorded.topology.neighbors(frame.src):
+                if receiver != frame.dst and receiver not in lost:
+                    heard[receiver] = heard.get(receiver, 0) + 1
+        assert heard
+        for node in recorded.iter_nodes():
+            assert len(node.overheard) == heard.get(node.id, 0)
 
     def test_dead_node_timers_suppressed(self):
         net = make_network()

@@ -56,6 +56,16 @@ class TestBatchResolverEquivalence:
         assert_equivalent(dead_nodes=(5, 6, 10))
         assert_equivalent(dead_nodes=(5, 6, 10), loss_probability=0.2)
 
+    def test_overhear_mask_limits_bystanders(self):
+        for overhearers in ((), (2, 5, 9)):
+            assert_equivalent(unicast=True, overhearers=overhearers)
+            assert_equivalent(
+                unicast=True,
+                overhearers=overhearers,
+                dead_nodes=(5, 6),
+                loss_probability=0.2,
+            )
+
     def test_bernoulli_and_burst_model_stacking(self):
         # Gilbert–Elliott-style stateful model on top of the flat
         # Bernoulli knob: the call sequence into the model must match

@@ -28,15 +28,27 @@ def _assert_clean_equivalent(**kwargs):
 
 class TestFastPathEquivalence:
     def test_clean_broadcast(self):
-        # Liveness probe installed, every node alive, no loss: the
-        # configuration a lossless Network run uses.
+        # Liveness mask installed, every node alive, no loss: every
+        # frame reads the mask and finds nobody dead.
         _assert_clean_equivalent()
 
     def test_clean_broadcast_without_liveness_probe(self):
-        # Bare medium: nothing can drop, so the fan-out resolves in one
-        # batch.
+        # Bare medium (and a Network with no dead node): nothing can
+        # drop, so the fan-out resolves in one batch.
         _assert_clean_equivalent(probe_liveness=False)
         _assert_clean_equivalent(probe_liveness=False, unicast=True)
+
+    def test_overhear_mask_limits_bystanders(self):
+        # Only masked bystanders are dispatched overheard unicasts;
+        # an empty mask leaves the addressee alone.
+        for overhearers in ((), (2, 5, 9)):
+            _assert_clean_equivalent(unicast=True, overhearers=overhearers)
+            _assert_clean_equivalent(
+                unicast=True,
+                overhearers=overhearers,
+                dead_nodes=(5, 6),
+                loss_probability=0.2,
+            )
 
     def test_bernoulli_loss_draws_in_same_order(self):
         _assert_clean_equivalent(loss_probability=0.3)
