@@ -58,12 +58,16 @@ class FaultInjector:
             if crash.node >= node_count:
                 continue  # plan written for a larger deployment
             engine.schedule_at(
-                crash.at + offset, self._killer(crash.node), priority=-2
+                crash.at + offset,
+                self.network.kill_node,
+                crash.node,
+                priority=-2,
             )
             if crash.recover_at is not None:
                 engine.schedule_at(
                     crash.recover_at + offset,
-                    self._reviver(crash.node),
+                    self.network.revive_node,
+                    crash.node,
                     priority=-2,
                 )
         if self.plan.has_burst_loss:
@@ -79,18 +83,6 @@ class FaultInjector:
             self.channel.arm(engine.now)
             self.network.radio.loss_model = self.channel
             self.network.trace.record_fault(engine.now, "burst-loss-model")
-
-    def _killer(self, node_id: int):
-        def fire() -> None:
-            self.network.kill_node(node_id)
-
-        return fire
-
-    def _reviver(self, node_id: int):
-        def fire() -> None:
-            self.network.revive_node(node_id)
-
-        return fire
 
     @property
     def injected_crashes(self) -> int:

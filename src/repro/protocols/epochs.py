@@ -198,7 +198,10 @@ class EpochedIpdaSession:
         t_slice = engine.now + 0.001
         for node in self.network.iter_nodes():
             if node.id != self.base_station and isinstance(node, _IpdaNode):
-                engine.schedule_at(t_slice, _slicing_starter(node))
+                # A node crashed by a mid-traffic fault plan must not
+                # slice from beyond the grave: the node-level timer
+                # skips it while it is dead.
+                node.schedule_at(t_slice, node.begin_slicing)
         t_report = t_slice + timing.slicing_window + timing.assembly_guard
         for node in self.network.iter_nodes():
             if (
@@ -206,12 +209,12 @@ class EpochedIpdaSession:
                 and node.id != self.base_station
                 and node.color is not None
             ):
-                engine.schedule_at(
+                node.schedule_at(
                     t_report
                     + max(MAX_DEPTH_SLOTS - (node.hops or 0), 0)
                     * timing.aggregation_slot
                     + float(node.rng.uniform(0.0, 0.8 * timing.aggregation_slot)),
-                    _reporter(node),
+                    node._report,
                 )
         self.network.run()
 
@@ -263,26 +266,6 @@ class EpochedIpdaSession:
             node._seen_aggregates.clear()
             node._merged_origins = {TreeColor.RED: set(), TreeColor.BLUE: set()}
             node._reported = False
-
-
-def _slicing_starter(node: _IpdaNode):
-    def fire() -> None:
-        # Fire-time guard: epochs schedule directly on the engine (the
-        # node-level scheduler is unavailable before the epoch starts),
-        # so a node crashed by a mid-traffic fault plan must be checked
-        # here or it would keep slicing from beyond the grave.
-        if node.alive:
-            node.begin_slicing()
-
-    return fire
-
-
-def _reporter(node: _IpdaNode):
-    def fire() -> None:
-        if node.alive:
-            node._report()
-
-    return fire
 
 
 class RadioAggregationService:

@@ -141,7 +141,9 @@ class _IpdaNode(Node):
         #: shared medium makes the duplicity visible; such nodes are
         #: excluded from both trees).
         self.blacklist: Set[int] = set()
-        self._hello_colors: Dict[int, Set[TreeColor]] = {}
+        #: the first colour each neighbour announced; a HELLO of any
+        #: other colour from it exposes it as two-faced.
+        self._hello_colors: Dict[int, TreeColor] = {}
         self.color: Optional[TreeColor] = None
         self.parent: Optional[int] = None
         self.hops: Optional[int] = None
@@ -236,9 +238,8 @@ class _IpdaNode(Node):
         # trees; the shared medium makes the duplicity visible.  The
         # base station legitimately roots both trees.
         if message.src != self.base_station:
-            seen = self._hello_colors.setdefault(message.src, set())
-            seen.add(message.color)
-            if len(seen) > 1:
+            color = message.color
+            if self._hello_colors.setdefault(message.src, color) is not color:
                 self.blacklist.add(message.src)
                 for table in self.heard.values():
                     table.pop(message.src, None)
@@ -278,9 +279,16 @@ class _IpdaNode(Node):
         )
         draw = float(self.rng.random())
         if draw < p_red:
-            self._join(TreeColor.RED)
+            color = TreeColor.RED
         elif draw < p_red + p_blue:
-            self._join(TreeColor.BLUE)
+            color = TreeColor.BLUE
+        else:
+            color = None
+        # A neighbour blacklisted while the decision was pending may
+        # have been this node's only aggregator of the drawn colour;
+        # with no parent to join, the node stays a leaf.
+        if color is not None and self.heard[color]:
+            self._join(color)
         else:
             self.color = None
 
@@ -348,16 +356,19 @@ class _IpdaNode(Node):
                 for entry in planned
             ],
         )
+        # One bound method shared by every slice timer of this fan-out.
+        send_slice = self._send_slice
         for entry, ciphertext in zip(planned, ciphertexts):
             self.schedule(
                 entry.delay,
-                self._slice_sender(
-                    entry.target,
-                    entry.piece,
-                    entry.color,
-                    seq=entry.seq,
-                    ciphertext=ciphertext,
-                ),
+                send_slice,
+                entry.target,
+                entry.piece,
+                entry.color,
+                1,
+                None,
+                entry.seq,
+                ciphertext,
             )
 
     def _slice_candidates(self, color: TreeColor) -> Set[int]:
@@ -370,21 +381,6 @@ class _IpdaNode(Node):
                 out.add(aggregator)
         return out
 
-    def _slice_sender(
-        self,
-        target: int,
-        piece: int,
-        color: TreeColor,
-        seq: Optional[int] = None,
-        ciphertext: Optional[bytes] = None,
-    ):
-        def fire() -> None:
-            self._send_slice(
-                target, piece, color, 1, seq=seq, ciphertext=ciphertext
-            )
-
-        return fire
-
     def _send_slice(
         self,
         target: int,
@@ -392,7 +388,6 @@ class _IpdaNode(Node):
         color: TreeColor,
         attempt: int,
         message: Optional[SliceMessage] = None,
-        *,
         seq: Optional[int] = None,
         ciphertext: Optional[bytes] = None,
     ) -> None:
@@ -430,8 +425,7 @@ class _IpdaNode(Node):
             return
         frame_id = message.frame_id
         timer = self.schedule(
-            self.robust.slice_ack_timeout,
-            lambda: self._slice_timeout(frame_id),
+            self.robust.slice_ack_timeout, self._slice_timeout, frame_id
         )
         self._pending_slices[frame_id] = _PendingSend(
             message=message,
@@ -456,13 +450,12 @@ class _IpdaNode(Node):
         self.retries_used += 1
         self.schedule(
             self._backoff(state.attempt),
-            lambda: self._send_slice(
-                message.dst,
-                state.piece,
-                color,
-                state.attempt + 1,
-                message,
-            ),
+            self._send_slice,
+            message.dst,
+            state.piece,
+            color,
+            state.attempt + 1,
+            message,
         )
 
     def _handle_slice(self, message: SliceMessage) -> None:
@@ -504,7 +497,7 @@ class _IpdaNode(Node):
             + depth_slot * timing.aggregation_slot
             + float(self.rng.uniform(0.0, 0.8 * timing.aggregation_slot))
         )
-        self.engine.schedule_at(max(when, self.now), self._guarded(self._report))
+        self.schedule_at(max(when, self.now), self._report)
 
     def _report(self) -> None:
         if self.color is None or self.parent is None:
@@ -542,8 +535,7 @@ class _IpdaNode(Node):
             return
         frame_id = message.frame_id
         timer = self.schedule(
-            self.robust.report_ack_timeout,
-            lambda: self._report_timeout(frame_id),
+            self.robust.report_ack_timeout, self._report_timeout, frame_id
         )
         self._pending_reports[frame_id] = _PendingSend(
             message=message, attempt=attempt, tried=set(tried), timer=timer
@@ -564,9 +556,10 @@ class _IpdaNode(Node):
             # deduplicated by frame_id and simply re-ACKed.
             self.schedule(
                 delay,
-                lambda: self._send_report(
-                    message, state.attempt + 1, state.tried
-                ),
+                self._send_report,
+                message,
+                state.attempt + 1,
+                state.tried,
             )
             return
         backup = self._backup_parent(state.tried)
@@ -584,8 +577,7 @@ class _IpdaNode(Node):
             origins=message.origins,
         )
         self.schedule(
-            delay,
-            lambda: self._send_report(fresh, 1, state.tried | {backup}),
+            delay, self._send_report, fresh, 1, state.tried | {backup}
         )
 
     def _backup_parent(self, tried: Set[int]) -> Optional[int]:
@@ -829,16 +821,11 @@ class IpdaProtocol(AggregationProtocol):
 
         timing = self.config.timing
         root.start()
-        for node in network.iter_nodes():
-            if node.id != self.base_station:
-                network.engine.schedule_at(
-                    timing.tree_construction_window,
-                    _begin_slicing_callback(node),
-                )
+        _schedule_slicing(network, self.base_station, timing)
         if failures:
             for node_id, when in failures.items():
                 network.engine.schedule_at(
-                    float(when), _kill_callback(network, node_id)
+                    float(when), network.kill_node, node_id
                 )
         network.run(until=_round_horizon(timing))
         network.run()  # drain MAC backoff and protocol-retry tails
@@ -970,16 +957,15 @@ def _round_membership(
     return participants, covered
 
 
-def _begin_slicing_callback(node: Node):
-    def fire() -> None:
-        if isinstance(node, _IpdaNode):
-            node.begin_slicing()
+def _schedule_slicing(network: Network, base_station: int, timing) -> None:
+    """Start every sensor's Phase II when the tree window closes.
 
-    return fire
-
-
-def _kill_callback(network: Network, node_id: int):
-    def fire() -> None:
-        network.kill_node(node_id)
-
-    return fire
+    Armed on the engine, not through :meth:`Node.schedule`, so a sensor
+    that crashed during Phase I still runs ``begin_slicing``; only its
+    sends are silenced (by :meth:`Node.send`).
+    """
+    engine = network.engine
+    when = timing.tree_construction_window
+    for node in network.iter_nodes():
+        if node.id != base_station:
+            engine.schedule_at(when, node.begin_slicing)

@@ -38,11 +38,11 @@ from ..sim.radio import RadioConfig
 from ..sim.rng import RngStreams
 from .base import validate_readings
 from .ipda import (
-    _begin_slicing_callback,
     _IpdaBaseStation,
     _IpdaNode,
     _round_horizon,
     _round_membership,
+    _schedule_slicing,
 )
 
 __all__ = ["MipdaOutcome", "MipdaProtocol"]
@@ -154,9 +154,7 @@ class _MipdaNode(_IpdaNode):
             for piece, option_index in zip(pieces, sorted(picked)):
                 target = options[int(option_index)]
                 delay = float(self.rng.uniform(0.0, window))
-                self.schedule(
-                    delay, self._slice_sender(target, piece, color)
-                )
+                self.schedule(delay, self._send_slice, target, piece, color, 1)
 
     @property
     def is_covered(self) -> bool:
@@ -249,12 +247,7 @@ class MipdaProtocol:
         assert isinstance(root, _MipdaBaseStation)
         timing = self.config.timing
         root.start()
-        for node in network.iter_nodes():
-            if node.id != self.base_station:
-                network.engine.schedule_at(
-                    timing.tree_construction_window,
-                    _begin_slicing_callback(node),
-                )
+        _schedule_slicing(network, self.base_station, timing)
         network.run(until=_round_horizon(timing))
         network.run()
 

@@ -96,16 +96,16 @@ class _PdaNode(Node):
         self.parent = message.src
         self.hops = message.hops + 1
         jitter = float(self.rng.uniform(0.0, self.params.forward_jitter))
-        self.schedule(
-            jitter,
-            lambda: self.send(
-                HelloMessage(
-                    src=self.id, dst=BROADCAST, hops=self.hops or 0,
-                    round_id=self.round_id,
-                )
-            ),
-        )
+        self.schedule(jitter, self._forward_hello)
         self._schedule_report()
+
+    def _forward_hello(self) -> None:
+        self.send(
+            HelloMessage(
+                src=self.id, dst=BROADCAST, hops=self.hops or 0,
+                round_id=self.round_id,
+            )
+        )
 
     # -- slicing ---------------------------------------------------------
     def begin_slicing(self) -> None:
@@ -133,27 +133,24 @@ class _PdaNode(Node):
         window = 0.9 * self.params.slicing_window
         for target, piece in zip(targets, pieces[1:]):
             delay = float(self.rng.uniform(0.0, window))
-            self.schedule(delay, self._slice_sender(target, piece))
+            self.schedule(delay, self._send_slice, target, piece)
 
-    def _slice_sender(self, target: int, piece: int):
-        def fire() -> None:
-            assert self.keys is not None
-            self._slice_seq += 1
-            seq = self._slice_seq
-            nonce = make_nonce(self.id, target, self.round_id, seq)
-            key = self.keys.link_key(self.id, target)
-            self.send(
-                SliceMessage(
-                    src=self.id,
-                    dst=target,
-                    round_id=self.round_id,
-                    color=TreeColor.RED,  # single logical tree
-                    seq=seq,
-                    ciphertext=seal(piece, key, nonce),
-                )
+    def _send_slice(self, target: int, piece: int) -> None:
+        assert self.keys is not None
+        self._slice_seq += 1
+        seq = self._slice_seq
+        nonce = make_nonce(self.id, target, self.round_id, seq)
+        key = self.keys.link_key(self.id, target)
+        self.send(
+            SliceMessage(
+                src=self.id,
+                dst=target,
+                round_id=self.round_id,
+                color=TreeColor.RED,  # single logical tree
+                seq=seq,
+                ciphertext=seal(piece, key, nonce),
             )
-
-        return fire
+        )
 
     # -- convergecast ------------------------------------------------------
     def _schedule_report(self) -> None:
@@ -165,7 +162,7 @@ class _PdaNode(Node):
             + max(self.params.max_depth - self.hops, 0) * self.params.slot
             + float(self.rng.uniform(0.0, 0.8 * self.params.slot))
         )
-        self.engine.schedule_at(max(start, self.now), self._guarded(self._report))
+        self.schedule_at(max(start, self.now), self._report)
 
     def _report(self) -> None:
         if self.parent is None:
@@ -259,7 +256,7 @@ class PdaProtocol(AggregationProtocol):
         for node in network.iter_nodes():
             if node.id != self.base_station and isinstance(node, _PdaNode):
                 network.engine.schedule_at(
-                    self.params.hello_window, _begin_slicing(node)
+                    self.params.hello_window, node.begin_slicing
                 )
         horizon = (
             self.params.hello_window
@@ -294,10 +291,3 @@ class PdaProtocol(AggregationProtocol):
                 "trace": network.trace.summary(),
             },
         )
-
-
-def _begin_slicing(node: _PdaNode):
-    def fire() -> None:
-        node.begin_slicing()
-
-    return fire

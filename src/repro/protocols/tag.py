@@ -187,7 +187,7 @@ class _TagNode(Node):
             + depth_slot * self.params.slot
             + float(self.rng.uniform(0.0, 0.8 * self.params.slot))
         )
-        self.engine.schedule_at(max(start, self.now), self._guarded(self._report))
+        self.schedule_at(max(start, self.now), self._report)
 
     def _report(self) -> None:
         if self.parent is None:
@@ -218,8 +218,7 @@ class _TagNode(Node):
             return
         frame_id = message.frame_id
         timer = self.schedule(
-            self.robust.report_ack_timeout,
-            lambda: self._report_timeout(frame_id),
+            self.robust.report_ack_timeout, self._report_timeout, frame_id
         )
         self._pending[frame_id] = _PendingReport(
             message=message, attempt=attempt, tried=set(tried), timer=timer
@@ -238,9 +237,10 @@ class _TagNode(Node):
             # Same frame, same parent: duplicates dedup by frame_id.
             self.schedule(
                 delay,
-                lambda: self._send_report(
-                    state.message, state.attempt + 1, state.tried
-                ),
+                self._send_report,
+                state.message,
+                state.attempt + 1,
+                state.tried,
             )
             return
         backup = self._backup_parent(state.tried)
@@ -257,8 +257,7 @@ class _TagNode(Node):
             origins=state.message.origins,
         )
         self.schedule(
-            delay,
-            lambda: self._send_report(fresh, 1, state.tried | {backup}),
+            delay, self._send_report, fresh, 1, state.tried | {backup}
         )
 
     def _backup_parent(self, tried: Set[int]) -> Optional[int]:

@@ -5,14 +5,19 @@ sequence)``-ordered callbacks on a binary heap.  The sequence number
 breaks ties so that two events scheduled for the same instant always
 fire in scheduling order, which keeps runs byte-for-byte reproducible.
 
-The heap stores ``[time, priority, sequence, callback]`` list entries,
-so every sift compare is a C-level sequence comparison that never
-reaches the callback (the sequence number is unique).  Cancellation
-replaces the callback with ``None`` in place — no handle object lives
-on the heap at all.  :class:`ScheduledEvent` is a thin view over the
-entry, and :meth:`EventEngine.post` skips even that for fire-and-forget
-events on the simulator's hottest scheduling paths (radio end-of-frame,
-MAC backoff timers).
+The heap stores ``[time, priority, sequence, callback, args]`` list
+entries and fires ``callback(*args)``, so every sift compare is a
+C-level sequence comparison that never reaches the callback (the
+sequence number is unique).  Timers pass their arguments instead of
+closing over them: a closure per timer costs a function object plus a
+cell per captured name, all tracked by the garbage collector, and a
+round arms tens of thousands of timers while the standing network
+makes every full collection expensive.  Cancellation replaces the
+callback with ``None`` in place — no handle object lives on the heap
+at all.  :class:`ScheduledEvent` is a thin view over the entry, and
+:meth:`EventEngine.post` skips even that for fire-and-forget events on
+the simulator's hottest scheduling paths (radio end-of-frame, MAC
+backoff timers).
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ class ScheduledEvent:
         return self._entry[2]
 
     @property
-    def callback(self) -> Optional[Callable[[], Any]]:
+    def callback(self) -> Optional[Callable[..., Any]]:
         """The scheduled callable, or ``None`` once cancelled."""
         return self._entry[3]
 
@@ -122,7 +127,7 @@ class EventEngine:
     Typical use::
 
         engine = EventEngine()
-        engine.schedule(1.5, lambda: print("fires at t=1.5"))
+        engine.schedule(1.5, print, "fires at t=1.5")
         engine.run()
     """
 
@@ -197,11 +202,11 @@ class EventEngine:
     def schedule(
         self,
         delay: float,
-        callback: Callable[[], Any],
-        *,
+        callback: Callable[..., Any],
+        *args: Any,
         priority: int = 0,
     ) -> ScheduledEvent:
-        """Schedule ``callback`` to fire ``delay`` seconds from now.
+        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now.
 
         Lower ``priority`` fires first among same-time events.  Returns
         the event handle, whose :meth:`ScheduledEvent.cancel` removes it.
@@ -210,7 +215,7 @@ class EventEngine:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         sequence = self._sequence
         self._sequence = sequence + 1
-        entry = [self._now + delay, priority, sequence, callback]
+        entry = [self._now + delay, priority, sequence, callback, args]
         # Inlined handle construction: this is the hottest allocation
         # in the simulator and skipping the __init__ frame measurably
         # cuts schedule() cost.
@@ -223,8 +228,8 @@ class EventEngine:
     def post(
         self,
         delay: float,
-        callback: Callable[[], Any],
-        *,
+        callback: Callable[..., Any],
+        *args: Any,
         priority: int = 0,
     ) -> None:
         """Fire-and-forget :meth:`schedule`: no handle, not cancellable.
@@ -240,27 +245,31 @@ class EventEngine:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         sequence = self._sequence
         self._sequence = sequence + 1
-        _heappush(self._heap, [self._now + delay, priority, sequence, callback])
+        _heappush(
+            self._heap, [self._now + delay, priority, sequence, callback, args]
+        )
 
     def schedule_at(
         self,
         when: float,
-        callback: Callable[[], Any],
-        *,
+        callback: Callable[..., Any],
+        *args: Any,
         priority: int = 0,
     ) -> ScheduledEvent:
-        """Schedule ``callback`` at absolute time ``when``."""
-        return self.schedule(when - self._now, callback, priority=priority)
+        """Schedule ``callback(*args)`` at absolute time ``when``."""
+        return self.schedule(
+            when - self._now, callback, *args, priority=priority
+        )
 
     def post_at(
         self,
         when: float,
-        callback: Callable[[], Any],
-        *,
+        callback: Callable[..., Any],
+        *args: Any,
         priority: int = 0,
     ) -> None:
         """Fire-and-forget :meth:`schedule_at` (see :meth:`post`)."""
-        self.post(when - self._now, callback, priority=priority)
+        self.post(when - self._now, callback, *args, priority=priority)
 
     def run(
         self,
@@ -288,13 +297,13 @@ class EventEngine:
                 try:
                     while heap:
                         entry = _heappop(heap)
-                        payload = entry[3]
-                        if payload is None:
+                        callback = entry[3]
+                        if callback is None:
                             self._cancelled_pending -= 1
                             continue
                         self._now = entry[0]
                         processed += 1
-                        payload()
+                        callback(*entry[4])
                 finally:
                     self._processed += processed
                 return self._now
@@ -308,14 +317,14 @@ class EventEngine:
                 if until is not None and entry[0] > until:
                     break
                 _heappop(heap)
-                payload = entry[3]
-                if payload is None:
+                callback = entry[3]
+                if callback is None:
                     self._cancelled_pending -= 1
                     continue
                 self._now = entry[0]
                 self._processed += 1
                 executed += 1
-                payload()
+                callback(*entry[4])
             if clamp and until > self._now:
                 # Single clamp for both the early-break and drained
                 # cases; the guard keeps `now` monotonic when `until`

@@ -165,7 +165,7 @@ class CsmaMac:
         # Fire-and-forget: MAC timers are never cancelled (stale ones
         # are ignored via the epoch guard inside _attempt), so the
         # handle-free post() avoids a ScheduledEvent per frame.
-        self.engine.post(jitter, lambda: self._attempt(0, epoch))
+        self.engine.post(jitter, self._attempt, 0, epoch)
 
     def _attempt(self, deferrals: int, epoch: int) -> None:
         if epoch != self._epoch:
@@ -182,8 +182,7 @@ class CsmaMac:
         ):
             self.backoffs += 1
             self.engine.post(
-                self._backoff(deferrals),
-                lambda: self._attempt(deferrals + 1, epoch),
+                self._backoff(deferrals), self._attempt, deferrals + 1, epoch
             )
             return
         self._attempts += 1
@@ -224,7 +223,7 @@ class CsmaMac:
             self.backoffs += 1
             epoch = self._epoch
             self.engine.post(
-                self._backoff(self._attempts), lambda: self._attempt(0, epoch)
+                self._backoff(self._attempts), self._attempt, 0, epoch
             )
             return
         if not delivered and not message.is_broadcast:

@@ -9,7 +9,7 @@ plumbing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, FrozenSet
+from typing import TYPE_CHECKING, Any, Callable, FrozenSet, Tuple
 
 import numpy as np
 
@@ -73,16 +73,30 @@ class Node:
             return
         self.network.mac(self.id).send(message)
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:
-        """Schedule a timer callback ``delay`` seconds from now."""
-        return self.engine.schedule(delay, self._guarded(callback))
+    def schedule(
+        self, delay: float, callback: Callable[..., None], *args: Any
+    ) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` ``delay`` seconds from now.
 
-    def _guarded(self, callback: Callable[[], None]) -> Callable[[], None]:
-        def fire() -> None:
-            if self.alive:
-                callback()
+        The timer is skipped if this node is dead when it comes due.
+        """
+        return self.network.engine.schedule(
+            delay, self._fire_if_alive, callback, args
+        )
 
-        return fire
+    def schedule_at(
+        self, when: float, callback: Callable[..., None], *args: Any
+    ) -> ScheduledEvent:
+        """:meth:`schedule` at absolute simulated time ``when``."""
+        return self.network.engine.schedule_at(
+            when, self._fire_if_alive, callback, args
+        )
+
+    def _fire_if_alive(
+        self, callback: Callable[..., None], args: Tuple[Any, ...]
+    ) -> None:
+        if self.alive:
+            callback(*args)
 
     def kill(self) -> None:
         """Fail-stop this node: it stops sending and reacting."""

@@ -113,9 +113,10 @@ class RadioConfig:
 class _InFlightFrame:
     """One frame on the air, as a struct-of-arrays ledger record.
 
-    ``receivers``/``receiver_array``/``receiver_set``/``slot_index``
-    are the sender's cached sorted-neighbour views (shared across all
-    its frames, never rebuilt per transmission); ``ruin`` maps a ruined receiver's id to
+    ``receivers``/``receiver_array`` are the sender's cached
+    sorted-neighbour views and ``receiver_set`` the topology's cached
+    neighbour set (all shared across the sender's frames, never rebuilt
+    per transmission); ``ruin`` maps a ruined receiver's id to
     its ``_RUIN_*`` cause code — one hash probe to test-and-mark, and
     ``len(ruin) == n_receivers`` is the "fully ruined" saturation test
     that lets a contended storm skip already-settled frame pairs.  A
@@ -134,7 +135,6 @@ class _InFlightFrame:
     receivers: Tuple[int, ...]
     receiver_array: np.ndarray
     receiver_set: frozenset
-    slot_index: Dict[int, int]
     n_receivers: int
     ruin: Dict[int, int]
     record: Optional[FrameRecord]
@@ -242,11 +242,6 @@ class RadioMedium:
         #: the same neighbour sets as int64 arrays, for vectorized
         #: carrier sensing.
         self._neighbor_arrays: Dict[int, np.ndarray] = {}
-        #: ... as frozensets, for the ledger's O(1)/O(d) pair tests.
-        self._neighbor_sets: Dict[int, frozenset] = {}
-        #: ... and as node-id -> ruin-slot maps (slot = position in the
-        #: sorted tuple), so flagging a ruined reception is a dict get.
-        self._neighbor_slots: Dict[int, Dict[int, int]] = {}
         self._neighbor_cache_version = topology.version
         #: sender coordinates and the pair-level rejection radius: under
         #: the disc model (Topology: neighbours iff distance <=
@@ -264,8 +259,6 @@ class RadioMedium:
         if self._neighbor_cache_version != self.topology.version:
             self._neighbor_cache.clear()
             self._neighbor_arrays.clear()
-            self._neighbor_sets.clear()
-            self._neighbor_slots.clear()
             self._neighbor_cache_version = self.topology.version
 
     def _sorted_neighbors(self, node_id: int) -> Tuple[int, ...]:
@@ -287,27 +280,6 @@ class RadioMedium:
             )
             self._neighbor_arrays[node_id] = array
         return array
-
-    def _neighbor_set(self, node_id: int) -> frozenset:
-        """The neighbour set as a cached frozenset."""
-        neighbor_set = self._neighbor_sets.get(node_id)
-        if neighbor_set is None:
-            neighbor_set = frozenset(self._sorted_neighbors(node_id))
-            self._neighbor_sets[node_id] = neighbor_set
-        return neighbor_set
-
-    def _neighbor_slot_index(self, node_id: int) -> Dict[int, int]:
-        """Neighbour id -> slot in the sorted tuple (cached)."""
-        slots = self._neighbor_slots.get(node_id)
-        if slots is None:
-            slots = {
-                neighbor: slot
-                for slot, neighbor in enumerate(
-                    self._sorted_neighbors(node_id)
-                )
-            }
-            self._neighbor_slots[node_id] = slots
-        return slots
 
     # ------------------------------------------------------------------
     # Channel state queries (used by the MAC for carrier sensing)
@@ -369,9 +341,11 @@ class RadioMedium:
             # neighbour views at end-of-frame.
             self.engine.post_at(
                 end,
-                lambda: self._finish_fast(
-                    message, receivers, receiver_array, record
-                ),
+                self._finish_fast,
+                message,
+                receivers,
+                receiver_array,
+                record,
                 priority=-1,
             )
             return end
@@ -386,8 +360,7 @@ class RadioMedium:
             sy=float(coords[sender, 1]),
             receivers=receivers,
             receiver_array=receiver_array,
-            receiver_set=self._neighbor_set(sender),
-            slot_index=self._neighbor_slot_index(sender),
+            receiver_set=self.topology.neighbors(sender),
             n_receivers=len(receivers),
             ruin={},
             record=record,
@@ -405,9 +378,7 @@ class RadioMedium:
         self._if_x[slot] = entry.sx
         self._if_y[slot] = entry.sy
         in_flight.append(entry)
-        self.engine.post_at(
-            end, lambda: self._finish_entry(entry), priority=-1
-        )
+        self.engine.post_at(end, self._finish_entry, entry, priority=-1)
         return end
 
     def _flag_interactions(
@@ -528,7 +499,6 @@ class RadioMedium:
             entry.receivers,
             entry.receiver_array,
             entry.ruin,
-            entry.slot_index,
         )
 
     def _finish_fast(
@@ -555,15 +525,13 @@ class RadioMedium:
         receivers: Tuple[int, ...],
         receiver_array: np.ndarray,
         ruin_map: Dict[int, int],
-        slot_index: Optional[Dict[int, int]] = None,
     ) -> None:
         """Resolve, record and dispatch one frame's whole fan-out.
 
         ``receivers`` is the sender's sorted neighbour tuple and
         ``receiver_array`` the same ids as an int64 array; ``ruin_map``
         holds the ``_RUIN_*`` causes flagged while the frame was on the
-        air, and ``slot_index`` (receiver -> position in ``receivers``)
-        places them, needed only when there are any.  The surviving
+        air, each placed at its receiver's slot by bisection.  The surviving
         receivers then pass, in receiver order, through the liveness
         mask (one indexed read, skipped while every node is alive), the
         Bernoulli draw (ONE ``rng.random(k)`` call — elementwise- and
@@ -614,7 +582,7 @@ class RadioMedium:
         code = np.zeros(n_receivers, dtype=np.int8)
         if ruin_map:
             for receiver, cause in ruin_map.items():
-                code[slot_index[receiver]] = cause
+                code[_slot_of(receivers, receiver)] = cause
         if alive is not None:
             # Dead among the non-ruined receivers (a ruin recorded at
             # flag time keeps its cause).

@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+import repro.protocols.ipda as ipda_module
 from repro import IpdaConfig, RngStreams
-from repro.crypto.keys import GlobalKeyScheme, RandomPredistributionScheme
+from repro.crypto.keys import (
+    GlobalKeyScheme,
+    PairwiseKeyScheme,
+    RandomPredistributionScheme,
+)
 from repro.errors import ProtocolError
-from repro.net.topology import random_deployment
-from repro.protocols.ipda import IpdaProtocol
+from repro.net.topology import grid_deployment, random_deployment
+from repro.protocols.ipda import IpdaProtocol, _IpdaNode
 from repro.protocols.tag import TagProtocol
-from repro.sim.messages import TreeColor
+from repro.sim.messages import BROADCAST, HelloMessage, TreeColor
+from repro.sim.network import Network
 from repro.sim.radio import RadioConfig
 
 
@@ -192,3 +198,94 @@ class TestValidation:
         topology, _ = dense
         with pytest.raises(ProtocolError):
             IpdaProtocol().run_round(topology, {1: 1}, streams=RngStreams(1))
+
+
+class TestHelloColourMemory:
+    """Each neighbour's first HELLO colour is remembered; a HELLO of the
+    other colour from it blacklists it (Section III-B)."""
+
+    @pytest.fixture
+    def node(self):
+        topology = grid_deployment(1, 4, spacing=40.0, radio_range=50.0)
+
+        def factory(node_id, network):
+            node = _IpdaNode(node_id, network)
+            node.keys = PairwiseKeyScheme(topology.node_count)
+            return node
+
+        return Network(topology, factory, seed=0).node(1)
+
+    @staticmethod
+    def hello(src, color):
+        return HelloMessage(src=src, dst=BROADCAST, color=color, hops=1)
+
+    @pytest.mark.parametrize("color", [TreeColor.RED, TreeColor.BLUE])
+    def test_repeated_colour_is_not_two_faced(self, node, color):
+        node.on_receive(self.hello(2, color))
+        node.on_receive(self.hello(2, color))
+        assert node.blacklist == set()
+        assert node.heard[color] == {2: 1}
+        assert node._hello_colors == {2: color}
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (TreeColor.RED, TreeColor.BLUE),
+            (TreeColor.BLUE, TreeColor.RED),
+        ],
+    )
+    def test_both_colours_blacklist_in_either_order(self, node, first, second):
+        node.on_receive(self.hello(2, first))
+        node.on_receive(self.hello(2, second))
+        assert node.blacklist == {2}
+        assert all(2 not in table for table in node.heard.values())
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (TreeColor.RED, TreeColor.BLUE),
+            (TreeColor.BLUE, TreeColor.RED),
+        ],
+    )
+    def test_base_station_announcing_both_is_never_blacklisted(
+        self, node, first, second
+    ):
+        node.base_station = 0
+        node.on_receive(self.hello(0, first))
+        node.on_receive(self.hello(0, second))
+        node.on_receive(self.hello(0, first))
+        assert node.blacklist == set()
+        assert 0 in node.heard[TreeColor.RED]
+        assert 0 in node.heard[TreeColor.BLUE]
+
+    def test_memory_holds_one_colour_per_neighbour_after_a_round(
+        self, dense, monkeypatch
+    ):
+        networks = []
+
+        class RecordingNetwork(Network):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                networks.append(self)
+
+        monkeypatch.setattr(ipda_module, "Network", RecordingNetwork)
+        topology, readings = dense
+        adversary = 25
+        outcome = IpdaProtocol(
+            radio_config=RadioConfig(collisions_enabled=False)
+        ).run_round(
+            topology, readings, streams=RngStreams(5), two_faced={adversary}
+        )
+        (network,) = networks
+        memories = [node._hello_colors for node in network.iter_nodes()]
+        assert sum(len(memory) for memory in memories) > topology.node_count
+        assert all(
+            isinstance(color, TreeColor)
+            for memory in memories
+            for color in memory.values()
+        )
+        blacklists = [node.blacklist for node in network.iter_nodes()]
+        assert all(blacklist <= {adversary} for blacklist in blacklists)
+        assert outcome.stats["adversary_blacklisted_by"] == sum(
+            1 for blacklist in blacklists if blacklist
+        ) > 0

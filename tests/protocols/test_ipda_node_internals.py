@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import IpdaConfig
+from repro.core.config import IpdaConfig, RoleMode
 from repro.errors import ProtocolError
 from repro.net.topology import grid_deployment
 from repro.protocols.ipda import _IpdaNode
@@ -106,6 +106,25 @@ class TestBlacklist:
         assert 0 not in node.blacklist
         assert 0 in node.heard[TreeColor.RED]
         assert 0 in node.heard[TreeColor.BLUE]
+
+    def test_losing_the_only_aggregator_of_a_colour_leaves_a_leaf(
+        self, harness
+    ):
+        # Node 2 is node 1's only red aggregator; it turns out two-faced
+        # while node 1's role decision is pending.  Adaptive election
+        # with no red heard then draws red with certainty, and red has
+        # no parent left.
+        node = harness.node(1)
+        node.config = IpdaConfig(role_mode=RoleMode.ADAPTIVE)
+        node.base_station = 0
+        node.on_receive(hello(2, TreeColor.RED))
+        node.on_receive(hello(0, TreeColor.BLUE))
+        node.on_receive(hello(2, TreeColor.BLUE))
+        assert node.heard[TreeColor.RED] == {}
+        harness.run()
+        assert node.decided
+        assert node.color is None
+        assert node.parent is None
 
     def test_reparents_away_from_blacklisted_parent(self, harness):
         node = harness.node(1)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import SimulationError
 from repro.sim.engine import EventEngine
 
@@ -362,3 +366,160 @@ class TestScheduledEventHandle:
         assert early <= early and early >= early
         assert early == early
         assert not early == "not-an-event"
+
+
+class TestCallbackArgs:
+    """Timers carry their arguments: ``callback(*args)`` at fire time."""
+
+    def test_args_reach_the_callback(self):
+        engine = EventEngine()
+        fired = []
+        engine.schedule(1.0, fired.append, "a")
+        engine.post(2.0, lambda *args: fired.append(args), 1, "two", None)
+        engine.run()
+        assert fired == ["a", (1, "two", None)]
+
+    @pytest.mark.parametrize("with_args", [False, True])
+    def test_same_time_order_is_priority_then_sequence(self, with_args):
+        engine = EventEngine()
+        fired = []
+
+        def record(label, *extra):
+            fired.append(label)
+
+        extra = (0, "x") if with_args else ()
+        engine.schedule(1.0, record, "s-late", *extra, priority=1)
+        engine.post(1.0, record, "p-first", *extra)
+        engine.schedule(1.0, record, "s-urgent", *extra, priority=-1)
+        engine.post(1.0, record, "p-second", *extra)
+        engine.schedule_at(1.0, record, "s-third", *extra)
+        engine.post_at(1.0, record, "p-urgent", *extra, priority=-1)
+        engine.run()
+        assert fired == [
+            "s-urgent",
+            "p-urgent",
+            "p-first",
+            "p-second",
+            "s-third",
+            "s-late",
+        ]
+
+    def test_cancelled_event_with_args_never_fires(self):
+        engine = EventEngine()
+        fired = []
+        handle = engine.schedule(1.0, fired.append, "cancelled")
+        engine.schedule(2.0, fired.append, "kept")
+        handle.cancel()
+        engine.run()
+        assert fired == ["kept"]
+        assert handle.callback is None
+
+    def test_absolute_forms_forward_args(self):
+        engine = EventEngine()
+        seen = []
+
+        def note(label, value):
+            seen.append((label, value, engine.now))
+
+        engine.schedule_at(3.0, note, "scheduled", 1)
+        engine.post_at(2.0, note, "posted", 2)
+        engine.run()
+        assert seen == [("posted", 2, 2.0), ("scheduled", 1, 3.0)]
+
+    @pytest.mark.parametrize(
+        "method", ["schedule", "post", "schedule_at", "post_at"]
+    )
+    def test_priority_is_keyword_only(self, method):
+        engine = EventEngine()
+        fired = []
+        # A trailing positional is an argument, never the priority.
+        getattr(engine, method)(1.0, fired.append, -5)
+        getattr(engine, method)(1.0, fired.append, 7, priority=-1)
+        engine.run()
+        assert fired == [7, -5]
+
+
+_SCHEDULING_METHODS = {"schedule", "post", "schedule_at", "post_at"}
+
+
+def _closure_callbacks(tree: ast.AST):
+    """Return ``(offences, calls)`` for the scheduling calls in ``tree``.
+
+    ``offences`` lists ``(line, reason)`` for each call whose callback
+    is a lambda, a nested ``def`` or the result of a call (a closure
+    factory); ``calls`` counts every scheduling call seen.
+    """
+    found = []
+    seen = 0
+
+    def visit(node, nested_defs):
+        nonlocal seen
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = {
+                child.name
+                for child in ast.walk(node)
+                if child is not node
+                and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            nested_defs = nested_defs | inner
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _SCHEDULING_METHODS
+            and len(node.args) >= 2
+        ):
+            seen += 1
+            callback = node.args[1]
+            if isinstance(callback, ast.Lambda):
+                found.append((node.lineno, "lambda"))
+            elif isinstance(callback, ast.Call):
+                found.append((node.lineno, "call result"))
+            elif isinstance(callback, ast.Name) and callback.id in nested_defs:
+                found.append((node.lineno, f"nested def {callback.id}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, nested_defs)
+
+    visit(tree, frozenset())
+    return found, seen
+
+
+class TestNoClosureTimers:
+    """Simulation timers pass bound methods plus args, never closures.
+
+    A closure per timer allocates a function object and a cell per
+    captured name; a large round arms tens of thousands of timers, and
+    every full garbage collection rescans whatever is alive.
+    """
+
+    def test_detector_flags_closure_forms(self):
+        source = (
+            "def f(engine, node):\n"
+            "    def fire():\n"
+            "        pass\n"
+            "    engine.schedule(1.0, lambda: None)\n"
+            "    engine.post(1.0, fire)\n"
+            "    engine.schedule_at(1.0, factory(node))\n"
+            "    engine.post_at(1.0, node.method, 1, 2)\n"
+        )
+        found, seen = _closure_callbacks(ast.parse(source))
+        assert seen == 4
+        assert [reason for _line, reason in found] == [
+            "lambda",
+            "nested def fire",
+            "call result",
+        ]
+
+    def test_simulation_code_schedules_no_closures(self):
+        root = Path(repro.__file__).parent
+        offenders = []
+        total = 0
+        for package in ("sim", "protocols", "faults"):
+            for path in sorted((root / package).rglob("*.py")):
+                found, seen = _closure_callbacks(ast.parse(path.read_text()))
+                total += seen
+                offenders += [
+                    f"{path.relative_to(root)}:{line}: {reason}"
+                    for line, reason in found
+                ]
+        assert total >= 20  # the scan really reaches the timer sites
+        assert offenders == []

@@ -162,6 +162,26 @@ class TestMessaging:
         net.run()
         assert fired == [0.5]
 
+    def test_node_timer_args_skipped_while_dead_then_fire_after_revive(self):
+        net = make_network()
+        fired = []
+        node = net.node(1)
+
+        def note(label, value):
+            fired.append((label, value, net.engine.now))
+
+        node.schedule(1.0, note, "while-dead", 1)
+        node.schedule_at(2.0, note, "at-while-dead", 2)
+        net.engine.schedule(0.5, node.kill)
+        net.engine.schedule(2.5, node.revive)
+        node.schedule(3.0, note, "after-revive", 3)
+        node.schedule_at(4.0, note, "at-after-revive", 4)
+        net.run()
+        assert fired == [
+            ("after-revive", 3, 3.0),
+            ("at-after-revive", 4, 4.0),
+        ]
+
     def test_neighbors_accessor(self):
         net = make_network()
         assert net.node(1).neighbors() == frozenset({0, 2})
