@@ -24,12 +24,12 @@ guessing a real position is ``m/k`` for ``m`` real positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError
-from ..net.graphs import bfs_tree, children_map
+from ..net.graphs import bfs_tree
 from ..net.topology import Topology
 from ..sim.rng import RngStreams
 
@@ -100,17 +100,15 @@ class _KipdaExtremumProtocol:
         self.base_station = base_station
 
     # -- extremum-specific hooks ---------------------------------------
-    def _combine(self, a: int, b: int) -> int:
-        raise NotImplementedError
+    #: the extremum, called as ``op(a, b)`` or ``op(iterable)``
+    #: (``max`` or ``min``); vectors combine element-wise with it.
+    _op = None
 
-    def _extreme(self, values):
-        raise NotImplementedError
+    def _real_bounds(self, reading: int) -> Tuple[int, int]:
+        """Inclusive bounds of camouflage for a non-chosen *real* position.
 
-    def _real_camouflage(self, reading: int, rng: np.random.Generator) -> int:
-        """Camouflage for a non-chosen *real* position.
-
-        Must never beat the reading at the combine operation, or it
-        would corrupt the aggregate.
+        Camouflage in them must never beat the reading at the combine
+        operation, or it would corrupt the aggregate.
         """
         raise NotImplementedError
 
@@ -137,23 +135,24 @@ class _KipdaExtremumProtocol:
 
         Real positions other than the chosen one get camouflage that
         can never beat the reading at the combine operation; fake
-        positions get unconstrained camouflage.
+        positions get unconstrained camouflage.  All ``k - 1``
+        camouflage entries come from one bounded draw with per-position
+        bounds, which numpy runs element by element in position order.
         """
         cfg = self.config
         if len(secret) != cfg.real_positions:
             raise ProtocolError("secret size does not match configuration")
-        vector = [0] * cfg.vector_size
+        reading = int(reading)
         chosen = int(secret[int(rng.integers(0, len(secret)))])
-        secret_set = set(int(p) for p in secret)
-        for position in range(cfg.vector_size):
-            if position == chosen:
-                vector[position] = int(reading)
-            elif position in secret_set:
-                vector[position] = self._real_camouflage(int(reading), rng)
-            else:
-                vector[position] = int(
-                    rng.integers(cfg.camouflage_low, cfg.camouflage_high + 1)
-                )
+        real_low, real_high = self._real_bounds(reading)
+        lows = [cfg.camouflage_low] * cfg.vector_size
+        highs = [cfg.camouflage_high + 1] * cfg.vector_size
+        for position in secret:
+            lows[position] = real_low
+            highs[position] = real_high + 1
+        del lows[chosen], highs[chosen]
+        vector = rng.integers(lows, highs).tolist()
+        vector.insert(chosen, reading)
         return vector
 
     def run_round(
@@ -174,7 +173,6 @@ class _KipdaExtremumProtocol:
         secret = self.deploy_secret(rng)
 
         parents = bfs_tree(topology, self.base_station)
-        kids = children_map(parents)
         participants = {n for n in parents if n != self.base_station}
 
         vectors: Dict[int, List[int]] = {}
@@ -186,39 +184,34 @@ class _KipdaExtremumProtocol:
                 )
                 published += 1
 
-        def combine(node_id: int) -> Optional[List[int]]:
+        # Convergecast: ``parents`` is in BFS order, so walking it
+        # backwards folds every subtree before its parent's.  The
+        # extremum does not depend on the order it sees values in.
+        op = self._op
+        inbound: Dict[int, List[int]] = {}
+        for node_id in reversed(parents):
+            parent = parents[node_id]
+            if parent is None:  # the base station
+                continue
+            merged = inbound.pop(node_id, None)
             own = vectors.get(node_id)
-            merged = list(own) if own is not None else None
-            for child in kids.get(node_id, []):
-                child_vec = combine(child)
-                if child_vec is None:
-                    continue
-                if merged is None:
-                    merged = list(child_vec)
-                else:
-                    merged = [
-                        self._combine(a, b)
-                        for a, b in zip(merged, child_vec)
-                    ]
-            return merged
-
-        import sys
-
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, topology.node_count * 4 + 100))
-        try:
-            final = combine(self.base_station)
-        finally:
-            sys.setrecursionlimit(old_limit)
+            if own is not None:
+                merged = own if merged is None else list(map(op, merged, own))
+            if merged is not None:
+                upward = inbound.get(parent)
+                inbound[parent] = (
+                    merged if upward is None else list(map(op, upward, merged))
+                )
+        final = inbound.get(self.base_station)
 
         reported = (
-            self._extreme(final[p] for p in secret)
+            op(final[p] for p in secret)
             if final is not None
             else None
         )
         reachable = participants & set(readings)
         true_value = (
-            self._extreme(int(readings[i]) for i in reachable)
+            op(int(readings[i]) for i in reachable)
             if reachable
             else 0
         )
@@ -234,16 +227,10 @@ class KipdaMaxProtocol(_KipdaExtremumProtocol):
     """k-indistinguishable MAX aggregation over a logical BFS tree."""
 
     name = "kipda-max"
+    _op = max
 
-    def _combine(self, a: int, b: int) -> int:
-        return max(a, b)
-
-    def _extreme(self, values):
-        return max(values)
-
-    def _real_camouflage(self, reading: int, rng: np.random.Generator) -> int:
-        low = min(self.config.camouflage_low, reading)
-        return int(rng.integers(low, reading + 1))
+    def _real_bounds(self, reading: int) -> Tuple[int, int]:
+        return min(self.config.camouflage_low, reading), reading
 
     def _check_readings(self, values) -> None:
         if min(int(v) for v in values) < self.config.camouflage_low:
@@ -260,16 +247,10 @@ class KipdaMinProtocol(_KipdaExtremumProtocol):
     """
 
     name = "kipda-min"
+    _op = min
 
-    def _combine(self, a: int, b: int) -> int:
-        return min(a, b)
-
-    def _extreme(self, values):
-        return min(values)
-
-    def _real_camouflage(self, reading: int, rng: np.random.Generator) -> int:
-        high = max(self.config.camouflage_high, reading)
-        return int(rng.integers(reading, high + 1))
+    def _real_bounds(self, reading: int) -> Tuple[int, int]:
+        return reading, max(self.config.camouflage_high, reading)
 
     def _check_readings(self, values) -> None:
         if max(int(v) for v in values) > self.config.camouflage_high:

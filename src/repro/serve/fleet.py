@@ -429,10 +429,13 @@ class ServiceFleet:
                 protocol = (
                     self._kipda_max if kind == "max" else self._kipda_min
                 )
+                # One stream per kind: a MAX and a MIN vector drawn from
+                # the same stream would differ only at the secret
+                # positions, and so give the secret set away.
                 cache[kind] = protocol.run_round(
                     self.topology,
                     live,
-                    streams=self._streams.spawn("kipda", epoch),
+                    streams=self._streams.spawn("kipda", epoch, kind),
                     round_id=epoch,
                 )
             kipda_outcome = cache[kind]

@@ -70,6 +70,10 @@ class Network:
     ):
         self.topology = topology
         self.streams = streams if streams is not None else RngStreams(seed)
+        # Every node asks for its private stream and its MAC's jitter
+        # stream; seeding them in bulk skips numpy's per-seed hashing.
+        self.streams.prime("node", range(topology.node_count))
+        self.streams.prime("mac", range(topology.node_count))
         self.engine = EventEngine()
         self.trace = TraceCollector(keep_frames=keep_frames, detail=trace_detail)
         #: liveness of every node, indexed by id, and how many are dead.

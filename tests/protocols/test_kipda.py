@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro import RngStreams
 from repro.errors import ConfigurationError, ProtocolError
-from repro.net.topology import random_deployment
-from repro.protocols.kipda import KipdaConfig, KipdaMaxProtocol
+from repro.net.topology import Topology, random_deployment
+from repro.protocols.kipda import (
+    KipdaConfig,
+    KipdaMaxProtocol,
+    KipdaMinProtocol,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +79,55 @@ class TestVectors:
             protocol.build_vector(10, [1], rng)
 
 
+def scalar_reference_vector(protocol, reading, secret, rng):
+    """One scalar draw per position, in position order."""
+    cfg = protocol.config
+    vector = [0] * cfg.vector_size
+    chosen = int(secret[int(rng.integers(0, len(secret)))])
+    for position in range(cfg.vector_size):
+        if position == chosen:
+            vector[position] = reading
+        elif position in secret:
+            if isinstance(protocol, KipdaMaxProtocol):
+                low = min(cfg.camouflage_low, reading)
+                vector[position] = int(rng.integers(low, reading + 1))
+            else:
+                high = max(cfg.camouflage_high, reading)
+                vector[position] = int(rng.integers(reading, high + 1))
+        else:
+            vector[position] = int(
+                rng.integers(cfg.camouflage_low, cfg.camouflage_high + 1)
+            )
+    return vector
+
+
+class TestOneDrawVector:
+    @pytest.mark.parametrize("protocol_cls", [KipdaMaxProtocol, KipdaMinProtocol])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            KipdaConfig(),
+            KipdaConfig(vector_size=5, real_positions=4),
+            KipdaConfig(camouflage_low=7, camouflage_high=7),
+            KipdaConfig(camouflage_low=0, camouflage_high=2**40),
+        ],
+    )
+    def test_matches_scalar_draws(self, protocol_cls, config):
+        protocol = protocol_cls(config)
+        rng = np.random.default_rng(31)
+        ref = np.random.default_rng(31)
+        readings = [config.camouflage_low, config.camouflage_high]
+        readings += [(config.camouflage_low + config.camouflage_high) // 2] * 3
+        for round_id in range(20):
+            secret = protocol.deploy_secret(rng)
+            assert protocol.deploy_secret(ref) == secret
+            for reading in readings:
+                assert protocol.build_vector(
+                    reading, secret, rng
+                ) == scalar_reference_vector(protocol, reading, secret, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestRound:
     def test_recovers_true_max(self, dense):
         topology, readings = dense
@@ -125,3 +180,29 @@ class TestRound:
             topology, readings, streams=RngStreams(10)
         )
         assert a.reported == b.reported
+
+
+class TestDeepTree:
+    def test_long_chain_needs_no_recursion(self, monkeypatch):
+        hops = 2_000
+        chain = Topology(
+            coords=np.column_stack(
+                [10.0 * np.arange(hops + 1), np.zeros(hops + 1)]
+            ),
+            radio_range=10.5,
+        )
+        readings = {i: i % 700 for i in range(1, hops + 1)}
+
+        def forbidden(limit):
+            raise AssertionError("the recursion limit must not change")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
+        for protocol, expected in (
+            (KipdaMaxProtocol(), 699),
+            (KipdaMinProtocol(), 0),
+        ):
+            outcome = protocol.run_round(
+                chain, readings, streams=RngStreams(3)
+            )
+            assert len(outcome.participants) == hops
+            assert outcome.reported == outcome.true_max == expected

@@ -167,6 +167,36 @@ class TestDispatch:
             assert result.value is not None
 
 
+class TestKipdaLanePrivacy:
+    def test_max_and_min_rounds_draw_independent_vectors(self, monkeypatch):
+        # A MAX and a MIN vector of one node drawn from one stream agree
+        # everywhere but at the non-chosen secret positions, so anyone
+        # who sees both learns the secret set.
+        from repro.protocols.kipda import _KipdaExtremumProtocol
+
+        published = {}
+        original = _KipdaExtremumProtocol.build_vector
+
+        def recording(self, reading, secret, rng):
+            vector = original(self, reading, secret, rng)
+            published.setdefault(self.name, []).append((secret, vector))
+            return vector
+
+        monkeypatch.setattr(_KipdaExtremumProtocol, "build_vector", recording)
+        core = ServiceCore(fleet_config=FleetConfig(node_count=40, seed=7))
+        core.start()
+        for kind in ("max", "min"):
+            core.submit(AggregationQuery(kind, protocol="kipda"), now=0.0)
+        done = core.dispatch(now=0.5)
+        assert all(ticket.result.ok for ticket in done)
+        max_vectors = published["kipda-max"]
+        min_vectors = published["kipda-min"]
+        assert len(max_vectors) == len(min_vectors) > 0
+        for (secret, high), (_, low) in zip(max_vectors, min_vectors):
+            fakes = [p for p in range(len(high)) if p not in secret]
+            assert [high[p] for p in fakes] != [low[p] for p in fakes]
+
+
 class TestFaultsUnderTraffic:
     def test_crash_schedule_applies_at_cycle_boundary(self):
         registry = MetricsRegistry()

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -36,6 +38,14 @@ class TestTopLevel:
     def test_version_string(self):
         major, minor, patch = repro.__version__.split(".")
         assert all(part.isdigit() for part in (major, minor, patch))
+
+    def test_version_matches_newest_changelog_entry(self):
+        changelog = pathlib.Path(__file__).resolve().parents[1] / "CHANGELOG.md"
+        newest = re.search(
+            r"^## (\d+\.\d+\.\d+)\s*$", changelog.read_text(), re.MULTILINE
+        )
+        assert newest is not None, "CHANGELOG.md has no release heading"
+        assert repro.__version__ == newest.group(1)
 
     def test_no_private_names_exported(self):
         private = [

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import doctest
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.rng import RngStreams, derive_seed
+import repro.rng
+from repro.net.topology import random_deployment
+from repro.rng import RngStreams, derive_seed, seed_state_words
+from repro.sim.network import Network
+
+
+def reference_rng(seed: int, *labels: object) -> np.random.Generator:
+    return np.random.default_rng(derive_seed(seed, *labels))
+
+
+def test_module_docstring_example():
+    failures, attempted = doctest.testmod(repro.rng)
+    assert attempted > 0
+    assert failures == 0
 
 
 class TestDeriveSeed:
@@ -80,3 +97,79 @@ class TestRngStreams:
 
     def test_repr_mentions_seed(self):
         assert "17" in repr(RngStreams(17))
+
+
+class TestSeedStateWords:
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    @staticmethod
+    def reference(seed: int) -> np.ndarray:
+        return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+    def test_edge_seeds(self):
+        words = seed_state_words(self.EDGE_SEEDS)
+        assert words.shape == (len(self.EDGE_SEEDS), 4)
+        assert words.dtype == np.uint64
+        for seed, row in zip(self.EDGE_SEEDS, words):
+            assert np.array_equal(row, self.reference(seed)), seed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+    def test_matches_seed_sequence(self, seeds):
+        for seed, row in zip(seeds, seed_state_words(seeds)):
+            assert np.array_equal(row, self.reference(seed)), seed
+
+    def test_empty(self):
+        assert seed_state_words([]).shape == (0, 4)
+
+
+class TestPrime:
+    def test_primed_stream_equals_default_rng(self):
+        streams = RngStreams(11)
+        streams.prime("node", range(5))
+        for node_id in range(5):
+            generator = streams.get("node", node_id)
+            assert generator is streams.get("node", node_id)
+            reference = reference_rng(11, "node", node_id)
+            assert (
+                generator.bit_generator.state
+                == reference.bit_generator.state
+            )
+            assert np.array_equal(generator.random(4), reference.random(4))
+            assert np.array_equal(
+                generator.integers(0, 1000, 6), reference.integers(0, 1000, 6)
+            )
+
+    def test_unprimed_key_still_works(self):
+        streams = RngStreams(11)
+        streams.prime("node", range(3))
+        assert np.array_equal(
+            streams.get("node", 3).random(3),
+            reference_rng(11, "node", 3).random(3),
+        )
+        assert np.array_equal(
+            streams.get("mac", 0).random(3),
+            reference_rng(11, "mac", 0).random(3),
+        )
+
+    def test_prime_leaves_built_streams_alone(self):
+        streams = RngStreams(4)
+        built = streams.get("node", 1)
+        first = built.random()
+        streams.prime("node", range(3))
+        assert streams.get("node", 1) is built
+        reference = reference_rng(4, "node", 1)
+        assert reference.random() == first
+        assert built.random() == reference.random()
+
+    def test_network_streams_match_reference_before_first_draw(self):
+        topology = random_deployment(300, seed=8)
+        network = Network(topology, streams=RngStreams(21))
+        for node_id in range(topology.node_count):
+            for name in ("node", "mac"):
+                generator = network.streams.get(name, node_id)
+                reference = reference_rng(21, name, node_id)
+                assert (
+                    generator.bit_generator.state
+                    == reference.bit_generator.state
+                ), (name, node_id)
