@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench perfbench reproduce figures examples clean
+.PHONY: install test perfbench reproduce figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -13,9 +13,6 @@ install:
 
 test:
 	$(PYTHON) -m pytest tests/
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # End-to-end benchmark, untraced, every workload at the baseline seed.
 perfbench:
@@ -38,5 +35,5 @@ examples:
 	done
 
 clean:
-	rm -rf results benchmarks/results.txt .pytest_cache
+	rm -rf .pytest_cache .hypothesis .perfbench-out
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -25,8 +25,8 @@ import numpy as np
 
 from ..errors import ProtocolError
 from ..net.topology import Topology
+from ..rng import RngStreams
 from ..sim.messages import TreeColor
-from ..sim.rng import RngStreams
 from .config import IpdaConfig
 from .integrity import DegradationPolicy, IntegrityChecker
 from .slicing import SliceAssembler, plan_slices

@@ -116,8 +116,7 @@ def xor_encrypt_batch(
     item's keystream comes from the same cached :func:`_expand`.  The
     point is amortisation — a whole slice fan-out (hundreds of 8-byte
     payloads) does ONE ``int.from_bytes``/XOR/``to_bytes`` round trip
-    instead of one per slice, which is what the ``cipher-xor-batch``
-    micro benchmark measures.
+    instead of one per slice.
     """
     plaintexts: List[bytes] = []
     streams: List[bytes] = []

@@ -1,10 +1,11 @@
 """Benchmark subsystem: timed hot-path benchmarks with a JSON perf gate.
 
 ``repro bench`` runs the registered micro benchmarks (engine churn,
-radio round, cipher throughput) and macro benchmarks (one tiny but
-representative spec per protocol family), emits a schema'd
-``BENCH_<timestamp>.json`` report, and — with ``--compare`` — gates on
-throughput regressions against a committed baseline.  See
+radio round, cipher throughput) and scale macros (10k/100k-node
+topology builds, 10k-node radio fan-outs), each with its own peak RSS,
+emits a schema'd ``BENCH_<timestamp>.json`` report, and — with
+``--compare`` — gates on throughput regressions against a committed
+baseline.  End-to-end timing lives in ``perfbench/``.  See
 ``docs/simulator.md`` ("Performance") for how to read the report.
 """
 

@@ -1,24 +1,23 @@
-"""Benchmark definitions: simulator hot paths and protocol macros.
+"""Benchmark definitions: simulator hot paths and scale rows.
 
 Micro benchmarks isolate the per-event cost centres (engine heap
 churn, radio frame fan-out, cipher throughput); macro benchmarks time
-one tiny but representative spec per protocol family end to end via
-the parallel runner (``jobs=1``, cache off, so the number is the cold
-per-cell cost).  Workload sizes are fixed so reports are comparable
-across commits; ``quick`` only shortens the measurement, never the
-per-operation shape.
+the scale path (10k/100k-node topology builds and 10k-node radio
+fan-outs).  These are the rows CI runs; end-to-end timing of protocol
+rounds, sweeps and serving lives in ``perfbench/``.  Workload sizes are
+fixed so reports are comparable across commits; ``quick`` only
+shortens the measurement, never the per-operation shape.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
-from ..crypto.cipher import KEY_BYTES, xor_encrypt, xor_encrypt_batch
+from ..crypto.cipher import KEY_BYTES, xor_encrypt
 from ..net.topology import PAPER_AREA_M, grid_deployment, random_deployment
 from ..sim.engine import EventEngine
 from ..sim.messages import BROADCAST, HelloMessage
@@ -26,38 +25,13 @@ from ..sim.radio import RadioConfig, RadioMedium
 from ..sim.trace import TraceCollector
 from .harness import BenchResult, register_benchmark
 
-__all__ = ["MACRO_SPECS"]
+__all__: List[str] = []
 
 #: Concurrent timers in the engine-churn benchmark.  Sized like the
 #: pending-event population of a dense 500-node round (every node holds
 #: a MAC backoff or protocol timer), where heap depth makes comparison
 #: cost dominate.
 _CHURN_TIMERS = 512
-
-#: One representative spec per protocol family, with tiny-but-faithful
-#: sweep parameters (mirrors the determinism suite's shapes).
-MACRO_SPECS: Dict[str, Dict[str, object]] = {
-    # iPDA (l=1,2) vs TAG on the paper's headline overhead sweep.
-    "fig7": {"sizes": (150,), "repetitions": 1},
-    # kiPDA: pairwise key-scheme ablation.
-    "ablation-key-schemes": {
-        "node_count": 120,
-        "repetitions": 1,
-        "coalition_size": 10,
-    },
-    # miPDA: m > 2 disjoint aggregation trees.
-    "ablation-trees": {
-        "node_count": 200,
-        "tree_counts": (2,),
-        "repetitions": 1,
-    },
-    # Loss-tolerant iPDA under crash + burst-loss faults.
-    "fault-sweep": {
-        "crash_fractions": (0.0,),
-        "loss_levels": ("light",),
-        "repetitions": 1,
-    },
-}
 
 
 # ----------------------------------------------------------------------
@@ -188,10 +162,6 @@ def bench_radio_contended(quick: bool) -> BenchResult:
 # ----------------------------------------------------------------------
 _KEY = bytes(range(KEY_BYTES))
 
-#: Monotonic source of never-before-seen nonces, so the bulk benchmark
-#: measures genuine keystream expansion even when a cache is present.
-_FRESH_NONCES = itertools.count(1 << 40)
-
 
 @register_benchmark(
     "cipher-xor-slice",
@@ -219,70 +189,6 @@ def bench_cipher_slice(quick: bool) -> BenchResult:
         wall_seconds=wall,
         iterations=len(sequence),
         detail={"frame_bytes": 8, "working_set": len(working_set)},
-    )
-
-
-@register_benchmark(
-    "cipher-xor-bulk",
-    "micro",
-    "xor_encrypt on 1 KiB frames, fresh nonce per frame (no cache reuse)",
-)
-def bench_cipher_bulk(quick: bool) -> BenchResult:
-    frames = 500 if quick else 2_000
-    frame_bytes = 1024
-    plaintext = bytes(frame_bytes)
-    nonces = [next(_FRESH_NONCES).to_bytes(8, "big") for _ in range(frames)]
-    key = _KEY
-    started = time.perf_counter()
-    for nonce in nonces:
-        xor_encrypt(plaintext, key, nonce)
-    wall = time.perf_counter() - started
-    return BenchResult(
-        name="cipher-xor-bulk",
-        kind="micro",
-        metric="bytes_per_second",
-        value=frames * frame_bytes / wall,
-        unit="B/s",
-        wall_seconds=wall,
-        iterations=frames,
-        detail={"frame_bytes": frame_bytes, "fresh_nonces": True},
-    )
-
-
-@register_benchmark(
-    "cipher-xor-batch",
-    "micro",
-    "xor_encrypt_batch on 256-slice fan-outs of 8-byte frames, fresh nonces",
-)
-def bench_cipher_batch(quick: bool) -> BenchResult:
-    batches = 100 if quick else 400
-    fanout = 256
-    key = _KEY
-    workloads = [
-        [
-            (
-                value.to_bytes(8, "big"),
-                key,
-                next(_FRESH_NONCES).to_bytes(8, "big"),
-            )
-            for value in range(fanout)
-        ]
-        for _ in range(batches)
-    ]
-    started = time.perf_counter()
-    for items in workloads:
-        xor_encrypt_batch(items)
-    wall = time.perf_counter() - started
-    operations = batches * fanout
-    return BenchResult(
-        name="cipher-xor-batch",
-        kind="micro",
-        metric="operations_per_second",
-        value=operations / wall,
-        unit="ops/s",
-        wall_seconds=wall,
-        iterations=operations,
-        detail={"frame_bytes": 8, "fanout": fanout, "fresh_nonces": True},
     )
 
 
@@ -341,19 +247,20 @@ def bench_topology_100k(quick: bool) -> BenchResult:
     return _topology_build(100_000, "topology-build-100k")
 
 
-@register_benchmark(
-    "radio-fanout-10k",
-    "macro",
-    "broadcast storm over a 10k-node deployment (batch delivery path)",
-)
-def bench_radio_fanout_10k(quick: bool) -> BenchResult:
-    """Every node broadcasts once on a perfect channel at paper density.
+def _radio_fanout(
+    name: str, *, collisions: bool, frames_per_node: int
+) -> BenchResult:
+    """Every node of a 10k-node paper-density deployment broadcasts.
 
-    Frames/s over ~29-receiver fan-outs: the batch delivery path's
-    macro number (one vectorized resolve + one trace update per frame).
+    Frames/s over ~29-receiver fan-outs.  On a perfect channel this is
+    the batch delivery path (one vectorized resolve + one trace update
+    per frame).  With collisions on, the 10 µs send stagger keeps ~18
+    frames concurrently on the air (176 µs airtime), so fan-outs
+    constantly overlap: the in-flight ledger's transmit-time ruin
+    flagging plus end-of-frame batch resolution, the path every
+    paper-faithful experiment takes.
     """
     node_count = 10_000
-    frames_per_node = 1 if quick else 3
     topology = random_deployment(
         node_count, area=_scale_area(node_count), seed=42
     )
@@ -370,34 +277,47 @@ def bench_radio_fanout_10k(quick: bool) -> BenchResult:
         trace=trace,
         deliver=deliver,
         rng=np.random.default_rng(12345),
-        config=RadioConfig(collisions_enabled=False),
+        config=RadioConfig(collisions_enabled=collisions),
     )
+
+    def send(nid: int) -> None:
+        radio.transmit(HelloMessage(src=nid, dst=BROADCAST))
+
     for repeat in range(frames_per_node):
         for nid in range(node_count):
-            engine.schedule(
-                1e-5 * (repeat * node_count + nid + 1),
-                lambda nid=nid: radio.transmit(
-                    HelloMessage(src=nid, dst=BROADCAST)
-                ),
-            )
+            engine.schedule(1e-5 * (repeat * node_count + nid + 1), send, nid)
     started = time.perf_counter()
     engine.run()
     wall = time.perf_counter() - started
     frames = node_count * frames_per_node
+    detail: Dict[str, object] = {
+        "nodes": node_count,
+        "frames_per_node": frames_per_node,
+        "delivered": delivered[0],
+    }
+    if collisions:
+        detail["dropped"] = trace.total_drops
+    detail["average_degree"] = round(topology.average_degree(), 2)
     return BenchResult(
-        name="radio-fanout-10k",
+        name=name,
         kind="macro",
         metric="frames_per_second",
         value=frames / wall,
         unit="frames/s",
         wall_seconds=wall,
         iterations=frames,
-        detail={
-            "nodes": node_count,
-            "frames_per_node": frames_per_node,
-            "delivered": delivered[0],
-            "average_degree": round(topology.average_degree(), 2),
-        },
+        detail=detail,
+    )
+
+
+@register_benchmark(
+    "radio-fanout-10k",
+    "macro",
+    "broadcast storm over a 10k-node deployment (batch delivery path)",
+)
+def bench_radio_fanout_10k(quick: bool) -> BenchResult:
+    return _radio_fanout(
+        "radio-fanout-10k", collisions=False, frames_per_node=1 if quick else 3
     )
 
 
@@ -407,92 +327,8 @@ def bench_radio_fanout_10k(quick: bool) -> BenchResult:
     "contended broadcast storm over a 10k-node deployment (batch collision ledger)",
 )
 def bench_radio_fanout_collisions_10k(quick: bool) -> BenchResult:
-    """Every node broadcasts on a *collision-enabled* channel.
-
-    The 10 µs send stagger keeps ~18 frames concurrently on the air
-    (176 µs airtime), so ~29-receiver fan-outs constantly overlap:
-    this is the in-flight ledger's macro number — transmit-time ruin
-    flagging plus end-of-frame batch resolution, the path every
-    paper-faithful (ns-2/802.11-style) experiment takes.
-    """
-    node_count = 10_000
-    frames_per_node = 1 if quick else 2
-    topology = random_deployment(
-        node_count, area=_scale_area(node_count), seed=42
+    return _radio_fanout(
+        "radio-fanout-collisions-10k",
+        collisions=True,
+        frames_per_node=1 if quick else 2,
     )
-    engine = EventEngine()
-    trace = TraceCollector(detail="counters")
-    delivered = [0]
-
-    def deliver(receiver: int, message, addressed: bool) -> None:
-        delivered[0] += 1
-
-    radio = RadioMedium(
-        engine=engine,
-        topology=topology,
-        trace=trace,
-        deliver=deliver,
-        rng=np.random.default_rng(12345),
-        config=RadioConfig(collisions_enabled=True),
-    )
-    for repeat in range(frames_per_node):
-        for nid in range(node_count):
-            engine.schedule(
-                1e-5 * (repeat * node_count + nid + 1),
-                lambda nid=nid: radio.transmit(
-                    HelloMessage(src=nid, dst=BROADCAST)
-                ),
-            )
-    started = time.perf_counter()
-    engine.run()
-    wall = time.perf_counter() - started
-    frames = node_count * frames_per_node
-    return BenchResult(
-        name="radio-fanout-collisions-10k",
-        kind="macro",
-        metric="frames_per_second",
-        value=frames / wall,
-        unit="frames/s",
-        wall_seconds=wall,
-        iterations=frames,
-        detail={
-            "nodes": node_count,
-            "frames_per_node": frames_per_node,
-            "delivered": delivered[0],
-            "dropped": trace.total_drops,
-            "average_degree": round(topology.average_degree(), 2),
-        },
-    )
-
-
-# ----------------------------------------------------------------------
-# Protocol macros (one representative spec per protocol family)
-# ----------------------------------------------------------------------
-def _make_spec_benchmark(spec_name: str, kwargs: Dict[str, object]):
-    def bench(quick: bool) -> BenchResult:
-        from ..runner import execute
-
-        started = time.perf_counter()
-        table = execute(spec_name, jobs=1, cache=False, **kwargs)
-        wall = time.perf_counter() - started
-        cells = int(table.meta["cells"])
-        return BenchResult(
-            name=f"spec-{spec_name}",
-            kind="macro",
-            metric="cells_per_second",
-            value=cells / wall,
-            unit="cells/s",
-            wall_seconds=wall,
-            iterations=cells,
-            detail=dict(kwargs),
-        )
-
-    return bench
-
-
-for _spec_name, _kwargs in MACRO_SPECS.items():
-    register_benchmark(
-        f"spec-{_spec_name}",
-        "macro",
-        f"end-to-end cold run of the tiny {_spec_name} sweep",
-    )(_make_spec_benchmark(_spec_name, _kwargs))

@@ -13,6 +13,8 @@ extra dependencies.
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import json
 import os
 import platform
@@ -21,7 +23,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from contextlib import nullcontext
 
@@ -145,31 +147,66 @@ def run_benchmarks(
             if registry is not None
             else nullcontext()
         )
+        # Peak RSS belongs to this row: the high-water mark is reset
+        # before its first repeat and read after its last, so the scale
+        # macros gate their own memory, not an earlier row's.
+        source = _reset_peak_rss()
         with timer:
             for _ in range(repeats):
                 result = bench.fn(quick)
-                # Peak RSS observed by the end of this repeat, so the
-                # scale macros gate memory as well as throughput.  The
-                # kernel counter is a process-wide high-water mark
-                # (monotonic), so order the memory-hungry benchmarks
-                # last or read the first benchmark's value as its own.
-                result.detail["peak_rss_mb"] = round(_peak_rss_mb(), 1)
                 if best is None or result.value > best.value:
                     best = result
+        peak_mb, source = _peak_rss_mb(source)
         assert best is not None
+        best.detail["peak_rss_mb"] = round(peak_mb, 1)
+        best.detail["peak_rss_source"] = source
         results.append(best)
     return results
 
 
-def _peak_rss_mb() -> float:
-    """Process peak resident set size in MiB (``getrusage`` high-water).
+def _reset_peak_rss() -> str:
+    """Reset this process's RSS high-water mark; names the source to read.
+
+    Earlier rows' garbage is collected and, on glibc, the heap memory
+    they freed is handed back to the kernel first, so the mark starts
+    near what the process holds, not at what the last row left behind.
+    Linux resets ``VmHWM`` through ``/proc/self/clear_refs``.  Where
+    ``/proc`` refuses, the fallback is ``getrusage``'s process-lifetime
+    ``ru_maxrss``, which an earlier, larger row would dominate.
+    """
+    gc.collect()
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):
+        pass
+    else:
+        malloc_trim.argtypes = [ctypes.c_size_t]
+        malloc_trim.restype = ctypes.c_int
+        malloc_trim(0)
+    try:
+        with open("/proc/self/clear_refs", "w") as handle:
+            handle.write("5")
+    except OSError:
+        return "ru_maxrss"
+    return "VmHWM"
+
+
+def _peak_rss_mb(source: str) -> Tuple[float, str]:
+    """Peak resident set size in MiB since the reset, and its source.
 
     Linux reports ``ru_maxrss`` in KiB, macOS in bytes.
     """
+    if source == "VmHWM":
+        try:
+            with open("/proc/self/status") as handle:
+                for line in handle:
+                    if line.startswith("VmHWM:"):
+                        return int(line.split()[1]) / 1024.0, source
+        except OSError:
+            pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0
+    scale = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+    return peak / scale, "ru_maxrss"
 
 
 def collect_environment() -> Dict[str, object]:

@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Optional, Set
 
 from ..errors import ProtocolError
 from ..net.topology import Topology
-from ..sim.rng import RngStreams
+from ..rng import RngStreams
 
 __all__ = ["RoundOutcome", "AggregationProtocol", "validate_readings"]
 

@@ -23,12 +23,12 @@ from ..core.slicing import SliceAssembler
 from ..crypto.keys import PairwiseKeyScheme
 from ..errors import AnalysisError, ProtocolError
 from ..net.topology import Topology
+from ..rng import RngStreams
 from ..sim.mac import MacConfig
 from ..sim.messages import TreeColor
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.radio import RadioConfig
-from ..sim.rng import RngStreams
 from .ipda import (
     MAX_DEPTH_SLOTS,
     _IpdaBaseStation,

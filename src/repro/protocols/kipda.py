@@ -31,7 +31,7 @@ import numpy as np
 from ..errors import ConfigurationError, ProtocolError
 from ..net.graphs import bfs_tree
 from ..net.topology import Topology
-from ..sim.rng import RngStreams
+from ..rng import RngStreams
 
 __all__ = [
     "KipdaConfig",

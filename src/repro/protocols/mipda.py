@@ -30,12 +30,12 @@ from ..core.slicing import SliceAssembler, slice_value
 from ..crypto.keys import PairwiseKeyScheme
 from ..errors import ProtocolError
 from ..net.topology import Topology
+from ..rng import RngStreams
 from ..sim.mac import MacConfig
 from ..sim.messages import HelloMessage, TreeColor
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.radio import RadioConfig
-from ..sim.rng import RngStreams
 from .base import validate_readings
 from .ipda import (
     _IpdaBaseStation,

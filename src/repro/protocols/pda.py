@@ -22,6 +22,7 @@ from ..crypto.envelope import make_nonce, open_sealed, seal
 from ..crypto.keys import KeyManagementScheme, PairwiseKeyScheme
 from ..errors import ProtocolError
 from ..net.topology import Topology
+from ..rng import RngStreams
 from ..sim.mac import MacConfig
 from ..sim.messages import (
     BROADCAST,
@@ -34,7 +35,6 @@ from ..sim.messages import (
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.radio import RadioConfig
-from ..sim.rng import RngStreams
 from .base import AggregationProtocol, RoundOutcome, validate_readings
 
 __all__ = ["PdaParams", "PdaProtocol"]

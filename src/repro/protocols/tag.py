@@ -26,6 +26,7 @@ from typing import Dict, Mapping, Optional, Set
 from ..core.config import RobustnessConfig
 from ..errors import ProtocolError
 from ..net.topology import Topology
+from ..rng import RngStreams
 from ..sim.engine import ScheduledEvent
 from ..sim.mac import MacConfig
 from ..sim.messages import (
@@ -38,7 +39,6 @@ from ..sim.messages import (
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.radio import RadioConfig
-from ..sim.rng import RngStreams
 from .base import AggregationProtocol, RoundOutcome, validate_readings
 
 __all__ = ["TagParams", "TagProtocol"]

@@ -1,5 +1,6 @@
 """Discrete-event wireless network simulator (the ns-2 substitute)."""
 
+from ..rng import RngStreams, derive_seed
 from .engine import EventEngine, ScheduledEvent
 from .mac import CsmaMac, MacConfig
 from .messages import (
@@ -14,7 +15,6 @@ from .messages import (
 from .network import Network
 from .node import Node
 from .radio import RadioConfig, RadioMedium
-from .rng import RngStreams, derive_seed
 from .timeline import filter_frames, render_timeline, summarize_conversation
 from .trace import DropReason, FrameRecord, TraceCollector
 

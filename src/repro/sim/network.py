@@ -14,12 +14,12 @@ import numpy as np
 from ..errors import SimulationError
 from ..net.topology import Topology
 from ..obs import DEFAULT_EVENT_EDGES, get_registry
+from ..rng import RngStreams
 from .engine import EventEngine
 from .mac import CsmaMac, MacConfig
 from .messages import Message
 from .node import Node
 from .radio import RadioConfig, RadioMedium
-from .rng import RngStreams
 from .trace import TraceCollector
 
 __all__ = ["Network", "NodeFactory"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import perf
@@ -25,16 +26,16 @@ from repro.perf.harness import (
 
 class TestRegistry:
     def test_hot_path_benchmarks_registered(self):
-        names = available_benchmarks()
-        for expected in (
+        assert available_benchmarks() == [
             "engine-churn",
             "radio-broadcast-clean",
             "radio-broadcast-contended",
             "cipher-xor-slice",
-            "cipher-xor-bulk",
-            "spec-fig7",
-        ):
-            assert expected in names
+            "topology-build-10k",
+            "topology-build-100k",
+            "radio-fanout-10k",
+            "radio-fanout-collisions-10k",
+        ]
 
     def test_descriptions_cover_all_benchmarks(self):
         descriptions = benchmark_descriptions()
@@ -105,6 +106,27 @@ class TestRunAndReport:
         )
         best = run_benchmarks(["fake"], repeats=3)[0]
         assert best.value == 300.0
+
+    def test_peak_rss_is_each_rows_own(self, monkeypatch):
+        from repro.perf import harness
+
+        def row(name, allocate_mb):
+            def fn(quick):
+                if allocate_mb:
+                    block = np.ones(allocate_mb << 17)  # MiB of 8-byte floats
+                    block.sum()
+                    del block
+                return BenchResult(name, "micro", "m", 1.0, "u", 0.1, 1)
+
+            return harness._Benchmark(name, "micro", name, fn)
+
+        monkeypatch.setitem(harness._REGISTRY, "big", row("big", 256))
+        monkeypatch.setitem(harness._REGISTRY, "cheap", row("cheap", 0))
+        big, cheap = run_benchmarks(["big", "cheap"], repeats=1)
+        if cheap.detail["peak_rss_source"] != "VmHWM":
+            pytest.skip("no resettable RSS high-water mark on this host")
+        assert big.detail["peak_rss_source"] == "VmHWM"
+        assert big.detail["peak_rss_mb"] - cheap.detail["peak_rss_mb"] > 200
 
     def test_write_report_into_directory(self, tmp_path):
         report = build_report([], quick=True, repeats=1)

@@ -101,6 +101,13 @@ class TestCellDigest:
             other, self.FINGERPRINT
         )
 
+    def test_every_cell_of_a_real_sweep_digests_apart(self):
+        spec = get_spec("fig7")
+        cells = spec.cells(sizes=(150, 250), repetitions=2)
+        fingerprint = spec_fingerprint(spec)
+        digests = [cell_digest(cell, fingerprint) for cell in cells]
+        assert len(set(digests)) == len(cells)
+
     def test_fingerprint_is_folded_in(self):
         cell = make_cell("x", (1,), 0, seed=0)
         assert cell_digest(cell, "a" * 40) != cell_digest(cell, "b" * 40)

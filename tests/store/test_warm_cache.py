@@ -35,6 +35,7 @@ class TestWarmCache:
         cold = execute(name, jobs=1, cache=store, **TINY_KWARGS[name])
         assert cold.meta["cache_misses"] == cold.meta["cells"]
         assert cold.meta["cache_hits"] == 0
+        assert cold.meta["cache_bytes_written"] > 0
 
         original = runner_module._run_cells_with_stats
 
