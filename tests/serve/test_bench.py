@@ -212,3 +212,67 @@ class TestCli:
             "--faults", "crash=oops",
         ]) == 2
         assert "error" in capsys.readouterr().err
+
+
+#: sha256 of the sorted-key JSON of ``serve_deterministic_view`` for
+#: CI's ``repro serve --bench --duration 5 --qps 20 --seed 7`` command
+#: (200 nodes), plus the same run with the mixed lane mix and with CI's
+#: robust chaos arguments.  Regenerate with
+#: ``PYTHONPATH=src python tests/serve/test_bench.py`` and explain the
+#: semantic change in the commit message.
+SERVE_GOLDEN_DIGESTS = {
+    "ci": "6e8efb3e7ff607ecd044c59f6b7d9bce6442ca3c7a23227ba17fb517ecc75349",
+    "mixed": "6be8f41d54d45839fd8f229e963cb7504eac70562c565efa7649586f6b20a913",
+    "robust-chaos": (
+        "790ff65fb40e1b4e4e208cfb8ac2120aaecb86225ffe241c9596b2de5e993e8c"
+    ),
+}
+
+SERVE_GOLDEN_ARGS = {
+    "ci": [],
+    "mixed": ["--mix", "mixed"],
+    "robust-chaos": ["--robust", "--faults", "crash=2@3+4,loss=light@1"],
+}
+
+
+def _serve_digest(path, extra):
+    import hashlib
+
+    assert main([
+        "serve", "--bench", "--duration", "5", "--qps", "20",
+        "--seed", "7", "--output", str(path), *extra,
+    ]) == 0
+    view = serve_deterministic_view(load_serve_report(str(path)))
+    return hashlib.sha256(
+        json.dumps(view, sort_keys=True).encode()
+    ).hexdigest()
+
+
+class TestGoldenServe:
+    @pytest.mark.parametrize("case", sorted(SERVE_GOLDEN_ARGS))
+    def test_deterministic_view_matches_golden_digest(
+        self, case, tmp_path, capsys
+    ):
+        digest = _serve_digest(tmp_path / "serve.json", SERVE_GOLDEN_ARGS[case])
+        capsys.readouterr()
+        assert digest == SERVE_GOLDEN_DIGESTS[case], (
+            f"serve {case} deterministic view changed"
+        )
+
+
+if __name__ == "__main__":  # regeneration helper
+    import contextlib
+    import io
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as _tmp:
+        print("SERVE_GOLDEN_DIGESTS = {")
+        for _case in sorted(SERVE_GOLDEN_ARGS):
+            with contextlib.redirect_stdout(io.StringIO()):
+                _digest = _serve_digest(
+                    pathlib.Path(_tmp) / "serve.json",
+                    SERVE_GOLDEN_ARGS[_case],
+                )
+            print(f'    "{_case}": "{_digest}",')
+        print("}")
