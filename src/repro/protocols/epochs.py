@@ -19,7 +19,6 @@ from typing import Dict, List, Mapping, Optional, Set
 
 from ..core.config import IpdaConfig
 from ..core.integrity import VerificationResult
-from ..core.slicing import SliceAssembler
 from ..crypto.keys import PairwiseKeyScheme
 from ..errors import AnalysisError, ProtocolError
 from ..net.topology import Topology
@@ -29,12 +28,8 @@ from ..sim.messages import TreeColor
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.radio import RadioConfig
-from .ipda import (
-    MAX_DEPTH_SLOTS,
-    _IpdaBaseStation,
-    _IpdaNode,
-    _verify_round,
-)
+from .convergecast import count_depth_overflow
+from .ipda import _IpdaBaseStation, _IpdaNode, _verify_round
 
 __all__ = [
     "EpochOutcome",
@@ -135,10 +130,6 @@ class EpochedIpdaSession:
         self.network.run()
         self._constructed = True
         self._construction_bytes = self.network.trace.total_bytes_sent
-        # Cancel the per-round reports the construction scheduled; the
-        # epochs drive their own convergecasts.
-        # (Reports fired during the drained run already; any residue is
-        # harmless because child sums are reset per epoch.)
 
     @property
     def construction_bytes(self) -> int:
@@ -150,9 +141,7 @@ class EpochedIpdaSession:
         return {
             node.id
             for node in self.network.iter_nodes()
-            if isinstance(node, _IpdaNode)
-            and node.id != self.base_station
-            and node.is_covered
+            if node.id != self.base_station and node.is_covered
         }
 
     # ------------------------------------------------------------------
@@ -181,9 +170,9 @@ class EpochedIpdaSession:
 
         root = self.network.node(self.base_station)
         assert isinstance(root, _IpdaBaseStation)
-        self._reset_epoch_state(root)
         for node in self.network.iter_nodes():
-            if node.id == self.base_station or not isinstance(node, _IpdaNode):
+            node.reset_epoch()
+            if node.id == self.base_station:
                 continue
             node.round_id = epoch
             node.reading = int(readings.get(node.id, 0))
@@ -197,25 +186,16 @@ class EpochedIpdaSession:
         engine = self.network.engine
         t_slice = engine.now + 0.001
         for node in self.network.iter_nodes():
-            if node.id != self.base_station and isinstance(node, _IpdaNode):
+            if node.id != self.base_station:
                 # A node crashed by a mid-traffic fault plan must not
                 # slice from beyond the grave: the node-level timer
                 # skips it while it is dead.
                 node.schedule_at(t_slice, node.begin_slicing)
         t_report = t_slice + timing.slicing_window + timing.assembly_guard
         for node in self.network.iter_nodes():
-            if (
-                isinstance(node, _IpdaNode)
-                and node.id != self.base_station
-                and node.color is not None
-            ):
-                node.schedule_at(
-                    t_report
-                    + max(MAX_DEPTH_SLOTS - (node.hops or 0), 0)
-                    * timing.aggregation_slot
-                    + float(node.rng.uniform(0.0, 0.8 * timing.aggregation_slot)),
-                    node._report,
-                )
+            if node.id != self.base_station and node.color is not None:
+                node._schedule_report(t_report)
+        count_depth_overflow(self.network.iter_nodes())
         self.network.run()
 
         s_red = root.tree_sum(TreeColor.RED)
@@ -223,9 +203,7 @@ class EpochedIpdaSession:
         participants = {
             node.id
             for node in self.network.iter_nodes()
-            if isinstance(node, _IpdaNode)
-            and node.id != self.base_station
-            and node.participant
+            if node.id != self.base_station and node.participant
         }
         verification = _verify_round(
             self.config, root, s_red, s_blue, participants, magnitude
@@ -243,29 +221,6 @@ class EpochedIpdaSession:
         )
         self.history.append(outcome)
         return outcome
-
-    def _reset_epoch_state(self, root: _IpdaBaseStation) -> None:
-        for node in self.network.iter_nodes():
-            if not isinstance(node, _IpdaNode):
-                continue
-            node.participant = False
-            for color in list(node.assemblers):
-                node.assemblers[color] = SliceAssembler(node.id)
-            node.child_sum = {TreeColor.RED: 0, TreeColor.BLUE: 0}
-            # Robust-mode state is per-epoch too: piece counts feed the
-            # epoch's verdict and stale un-ACKed sends must not leak
-            # retransmissions into the next epoch's fresh assemblers.
-            node.child_pieces = {TreeColor.RED: 0, TreeColor.BLUE: 0}
-            node._pending_slices.clear()
-            node._pending_reports.clear()
-            # The duplicate filters guard against fail-over replays
-            # *within* one epoch; carried across epochs they make every
-            # fresh aggregate look like a replay of the last epoch's
-            # (same origins, new values) and silently drop it.
-            node._seen_slices.clear()
-            node._seen_aggregates.clear()
-            node._merged_origins = {TreeColor.RED: set(), TreeColor.BLUE: set()}
-            node._reported = False
 
 
 class RadioAggregationService:

@@ -11,9 +11,10 @@ colour), link-encrypts each piece under the key-management scheme, and
 scatters the pieces to ``l`` aggregators of each colour over the
 slicing window; aggregators decrypt and assemble ``r(j)``.
 
-Phase III — each tree runs a depth-scheduled convergecast of the
-assembled values; the base station compares ``S_red`` and ``S_blue``
-and accepts iff they agree within ``Th``.
+Phase III — each tree runs the depth-scheduled convergecast of
+:mod:`repro.protocols.convergecast` on the assembled values; the base
+station compares ``S_red`` and ``S_blue`` and accepts iff they agree
+within ``Th``.
 
 Attack hooks: ``polluters`` adds an offset to a node's outgoing
 intermediate result (data-pollution, Section II-C); ``contributors``
@@ -28,11 +29,8 @@ confirm may have arrived, and re-scattering it elsewhere would count
 it twice; if the target is truly dead the piece dies with the target's
 assembler either way, which the piece accounting reports honestly.  A
 report that exhausts its retries re-parents to a strictly shallower
-same-colour aggregator heard in Phase I (shallower = no cycles); to
-keep that duplicate-safe, every aggregate carries the origin
-aggregator ids it folds in and merge points drop aggregates whose
-origins they have already merged.  Child aggregates arriving after a
-node already reported are forwarded upstream as supplemental reports.
+same-colour aggregator heard in Phase I, with the duplicate-safe
+origins and late-child forwarding of the shared report path.
 Piece counts ride along with the sums so the base station can degrade
 gracefully under benign loss instead of rejecting (see
 :mod:`repro.core.integrity`).
@@ -43,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Set, Tuple
 
-from ..core.config import IpdaConfig, RobustnessConfig
+from ..core.config import IpdaConfig, RobustnessConfig, TimingConfig
 from ..core.integrity import (
     DegradationPolicy,
     IntegrityChecker,
@@ -56,7 +54,6 @@ from ..crypto.keys import KeyManagementScheme, PairwiseKeyScheme
 from ..errors import ProtocolError
 from ..net.topology import Topology
 from ..rng import RngStreams
-from ..sim.engine import ScheduledEvent
 from ..sim.mac import MacConfig
 from ..sim.messages import (
     BROADCAST,
@@ -71,22 +68,15 @@ from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.radio import RadioConfig
 from .base import AggregationProtocol, RoundOutcome, validate_readings
+from .convergecast import (
+    ConvergecastNode,
+    _PendingSend,
+    count_depth_overflow,
+    phase3_start,
+    round_horizon,
+)
 
 __all__ = ["IpdaOutcome", "IpdaProtocol"]
-
-#: Convergecast depth bound (slots), mirroring TAG's epoch division.
-MAX_DEPTH_SLOTS = 32
-
-
-@dataclass
-class _PendingSend:
-    """An unacknowledged transfer awaiting its end-to-end ACK."""
-
-    message: Message
-    attempt: int
-    tried: Set[int]
-    timer: Optional[ScheduledEvent]
-    piece: int = 0  # slice transfers only: the plaintext piece
 
 
 @dataclass
@@ -116,7 +106,7 @@ class IpdaOutcome(RoundOutcome):
         return self.verification.outcome
 
 
-class _IpdaNode(Node):
+class _IpdaNode(ConvergecastNode):
     """A sensor running iPDA."""
 
     #: the trees the round builds, in flooding order.
@@ -126,7 +116,6 @@ class _IpdaNode(Node):
         super().__init__(node_id, network)
         self.config: IpdaConfig = IpdaConfig()
         self.keys: Optional[KeyManagementScheme] = None
-        self.round_id = 0
         self.reading = 0
         self.contributes = False
         self.pollution_offset = 0
@@ -145,8 +134,6 @@ class _IpdaNode(Node):
         #: other colour from it exposes it as two-faced.
         self._hello_colors: Dict[int, TreeColor] = {}
         self.color: Optional[TreeColor] = None
-        self.parent: Optional[int] = None
-        self.hops: Optional[int] = None
         self.decided = False
         self._decision_pending = False
         self.participant = False
@@ -162,47 +149,36 @@ class _IpdaNode(Node):
         self.auto_report = True
 
         # --- loss-tolerant mode state (inert when robustness is None) ---
-        self._pending_slices: Dict[int, _PendingSend] = {}
-        self._pending_reports: Dict[int, _PendingSend] = {}
         self._seen_slices: Set[Tuple[int, int]] = set()
-        self._seen_aggregates: Set[int] = set()
-        #: origin aggregators already folded into ``child_sum`` — the
-        #: duplicate filter for fail-over paths.
-        self._merged_origins: Dict[TreeColor, Set[int]] = {
-            TreeColor.RED: set(),
-            TreeColor.BLUE: set(),
-        }
         #: cumulative slice-piece counts received from children's reports.
         self.child_pieces: Dict[TreeColor, int] = {
             TreeColor.RED: 0,
             TreeColor.BLUE: 0,
         }
-        self._reported = False
-        self.retries_used = 0
-        self.reparent_count = 0
 
     @property
     def robust(self) -> Optional[RobustnessConfig]:
         """The loss-tolerance knobs, or None in fire-and-forget mode."""
         return self.config.robustness
 
-    def _backoff(self, attempt: int) -> float:
-        """Jittered exponential backoff before protocol retry ``attempt``."""
-        assert self.robust is not None
-        jitter = float(self.rng.uniform(0.5, 1.5))
-        return jitter * self.robust.retry_backoff * (2 ** (attempt - 1))
+    @property
+    def timing(self) -> TimingConfig:
+        """The phase timing of this deployment."""
+        return self.config.timing
 
-    def _ack(self, message: Message) -> None:
-        """Acknowledge ``message`` end to end (loss-tolerant mode)."""
-        self.send(
-            AckMessage(
-                src=self.id,
-                dst=message.src,
-                round_id=self.round_id,
-                color=getattr(message, "color", None),
-                ref=message.frame_id,
-            )
-        )
+    def reset_epoch(self) -> None:
+        """Clear the per-query Phase II/III state before a new epoch on
+        the standing trees; roles, parents and HELLO tables stay."""
+        self.participant = False
+        for color in list(self.assemblers):
+            self.assemblers[color] = SliceAssembler(self.id)
+        self.child_sum = {TreeColor.RED: 0, TreeColor.BLUE: 0}
+        # Robust-mode state is per-epoch too: piece counts feed the
+        # epoch's verdict, and a stale slice ACK or dedup entry must not
+        # leak into the next epoch's fresh assemblers.
+        self.child_pieces = {TreeColor.RED: 0, TreeColor.BLUE: 0}
+        self._seen_slices.clear()
+        self._reset_reporting()
 
     # ------------------------------------------------------------------
     # Receive dispatch
@@ -216,14 +192,6 @@ class _IpdaNode(Node):
             self._handle_aggregate(message)
         elif isinstance(message, AckMessage):
             self._handle_ack(message)
-
-    def _handle_ack(self, message: AckMessage) -> None:
-        """Settle the pending transfer the ACK references."""
-        state = self._pending_slices.pop(message.ref, None)
-        if state is None:
-            state = self._pending_reports.pop(message.ref, None)
-        if state is not None and state.timer is not None:
-            state.timer.cancel()
 
     # ------------------------------------------------------------------
     # Phase I: role election and tree joining
@@ -254,6 +222,9 @@ class _IpdaNode(Node):
         if self.heard[TreeColor.RED] and self.heard[TreeColor.BLUE]:
             self._decision_pending = True
             self.schedule(self.config.timing.role_decision_delay, self._decide)
+
+    def _parent_candidates(self) -> Dict[int, int]:
+        return self.heard[self.color] if self.color is not None else {}
 
     def _repick_parent(self) -> None:
         """Re-parent after the current parent was blacklisted."""
@@ -308,7 +279,10 @@ class _IpdaNode(Node):
                 round_id=self.round_id,
             )
         )
-        self._schedule_report()
+        # Single-round mode reports in this round's Phase III; the
+        # epoched session schedules every epoch's reports itself.
+        if self.auto_report:
+            self._schedule_report(phase3_start(self.timing))
 
     # ------------------------------------------------------------------
     # Phase II: slicing and assembling
@@ -427,7 +401,7 @@ class _IpdaNode(Node):
         timer = self.schedule(
             self.robust.slice_ack_timeout, self._slice_timeout, frame_id
         )
-        self._pending_slices[frame_id] = _PendingSend(
+        self._pending[frame_id] = _PendingSend(
             message=message,
             attempt=attempt,
             tried={target},
@@ -438,7 +412,7 @@ class _IpdaNode(Node):
     def _slice_timeout(self, frame_id: int) -> None:
         """No ACK in time: back off and resend the same frame, or give up."""
         robust = self.robust
-        state = self._pending_slices.pop(frame_id, None)
+        state = self._pending.pop(frame_id, None)
         if state is None or robust is None:
             return
         if state.attempt >= robust.slice_retry_limit:
@@ -481,122 +455,15 @@ class _IpdaNode(Node):
     # ------------------------------------------------------------------
     # Phase III: convergecast along the coloured trees
     # ------------------------------------------------------------------
-    def _schedule_report(self) -> None:
-        if not self.auto_report:
-            return
-        assert self.hops is not None
-        timing = self.config.timing
-        phase3_start = (
-            timing.tree_construction_window
-            + timing.slicing_window
-            + timing.assembly_guard
-        )
-        depth_slot = max(MAX_DEPTH_SLOTS - self.hops, 0)
-        when = (
-            phase3_start
-            + depth_slot * timing.aggregation_slot
-            + float(self.rng.uniform(0.0, 0.8 * timing.aggregation_slot))
-        )
-        self.schedule_at(max(when, self.now), self._report)
-
-    def _report(self) -> None:
-        if self.color is None or self.parent is None:
-            return
+    def _report_payload(self) -> Tuple[int, int]:
+        assert self.color is not None
         assembler = self.assemblers[self.color]
         assembled = assembler.assembled_value()
         value = assembled + self.child_sum[self.color] + self.pollution_offset
         if self.robust is not None:
             # Cumulative piece count: what loss-aware verification sums.
-            count = assembler.piece_count + self.child_pieces[self.color]
-            origins = tuple(
-                sorted({self.id} | self._merged_origins[self.color])
-            )
-        else:
-            count = assembler.received_count
-            origins = ()
-        message = AggregateMessage(
-            src=self.id,
-            dst=self.parent,
-            round_id=self.round_id,
-            color=self.color,
-            value=value,
-            contributor_count=count,
-            origins=origins,
-        )
-        self._reported = True
-        self._send_report(message, 1, {self.parent})
-
-    def _send_report(
-        self, message: AggregateMessage, attempt: int, tried: Set[int]
-    ) -> None:
-        """Transmit a report upstream, arming its ACK timer in robust mode."""
-        self.send(message)
-        if self.robust is None:
-            return
-        frame_id = message.frame_id
-        timer = self.schedule(
-            self.robust.report_ack_timeout, self._report_timeout, frame_id
-        )
-        self._pending_reports[frame_id] = _PendingSend(
-            message=message, attempt=attempt, tried=set(tried), timer=timer
-        )
-
-    def _report_timeout(self, frame_id: int) -> None:
-        """Retry the report; after the per-parent cap, fail over."""
-        robust = self.robust
-        state = self._pending_reports.pop(frame_id, None)
-        if state is None or robust is None:
-            return
-        message = state.message
-        assert isinstance(message, AggregateMessage)
-        self.retries_used += 1
-        delay = self._backoff(state.attempt)
-        if state.attempt < robust.report_retry_limit:
-            # Same frame, same parent: a duplicate at the receiver is
-            # deduplicated by frame_id and simply re-ACKed.
-            self.schedule(
-                delay,
-                self._send_report,
-                message,
-                state.attempt + 1,
-                state.tried,
-            )
-            return
-        backup = self._backup_parent(state.tried)
-        if backup is None:
-            return  # no shallower aggregator left; this subtree is cut off
-        self.reparent_count += 1
-        self.parent = backup
-        fresh = AggregateMessage(
-            src=self.id,
-            dst=backup,
-            round_id=message.round_id,
-            color=message.color,
-            value=message.value,
-            contributor_count=message.contributor_count,
-            origins=message.origins,
-        )
-        self.schedule(
-            delay, self._send_report, fresh, 1, state.tried | {backup}
-        )
-
-    def _backup_parent(self, tried: Set[int]) -> Optional[int]:
-        """Next untried same-colour aggregator strictly shallower than us.
-
-        Strict shallowness guarantees reports always flow toward the
-        base station, so fail-over can never create a routing cycle.
-        """
-        if self.color is None or self.hops is None:
-            return None
-        own_heard = self.heard[self.color]
-        candidates = [
-            agg
-            for agg, hops in own_heard.items()
-            if hops < self.hops and agg not in tried
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda a: (own_heard[a], a))
+            return value, assembler.piece_count + self.child_pieces[self.color]
+        return value, assembler.received_count
 
     def _handle_aggregate(self, message: AggregateMessage) -> None:
         if message.color is None:
@@ -604,42 +471,17 @@ class _IpdaNode(Node):
         if message.color is not self.color:
             self.mismatched_aggregates += 1
             return
+        self._merge(message)
+
+    def _merge(self, message: AggregateMessage) -> bool:
+        """Fold a child's report into its tree's sums; False if dropped."""
         if self.robust is not None:
-            if message.frame_id in self._seen_aggregates:
-                self._ack(message)  # duplicate: our ACK was lost, re-ACK
-                return
-            self._seen_aggregates.add(message.frame_id)
-            self._ack(message)
-            merged = self._merged_origins[message.color]
-            if merged & set(message.origins):
-                # A fail-over path re-delivered a subtree we already
-                # merged (under a different frame): drop it whole.
-                # Partial overlap sacrifices the non-overlapping
-                # origins, but their values and piece counts vanish
-                # *together*, so the loss stays visible to the base
-                # station's coverage accounting.
-                return
-            merged.update(message.origins)
-        self.child_sum[message.color] += message.value
-        if self.robust is not None:
+            if not self._admit_report(message):
+                return False
             self.child_pieces[message.color] += message.contributor_count
-            if self._reported and self.parent is not None:
-                # Late child (it retried or re-parented past our own
-                # report): forward its contribution as a supplemental
-                # report so the value still reaches the base station.
-                self._send_report(
-                    AggregateMessage(
-                        src=self.id,
-                        dst=self.parent,
-                        round_id=self.round_id,
-                        color=self.color,
-                        value=message.value,
-                        contributor_count=message.contributor_count,
-                        origins=message.origins,
-                    ),
-                    1,
-                    {self.parent},
-                )
+            self._forward_late(message)
+        self.child_sum[message.color] += message.value
+        return True
 
     # ------------------------------------------------------------------
     # Introspection used by the runner
@@ -708,19 +550,8 @@ class _IpdaBaseStation(_IpdaNode):
     def _handle_aggregate(self, message: AggregateMessage) -> None:
         if message.color is None:
             raise ProtocolError("iPDA aggregate must carry a colour")
-        if self.robust is not None:
-            if message.frame_id in self._seen_aggregates:
-                self._ack(message)
-                return
-            self._seen_aggregates.add(message.frame_id)
-            self._ack(message)
-            merged = self._merged_origins[message.color]
-            if merged & set(message.origins):
-                return  # duplicate fail-over path; see _IpdaNode
-            merged.update(message.origins)
-            self.child_pieces[message.color] += message.contributor_count
-        self.child_sum[message.color] += message.value
-        self.last_result_time = self.now
+        if self._merge(message):
+            self.last_result_time = self.now
 
     def tree_sum(self, color: TreeColor) -> int:
         """``S_color``: assembled slices at the root plus child results."""
@@ -827,37 +658,24 @@ class IpdaProtocol(AggregationProtocol):
                 network.engine.schedule_at(
                     float(when), network.kill_node, node_id
                 )
-        network.run(until=_round_horizon(timing))
+        network.run(until=round_horizon(timing))
         network.run()  # drain MAC backoff and protocol-retry tails
 
         s_red = root.tree_sum(TreeColor.RED)
         s_blue = root.tree_sum(TreeColor.BLUE)
 
         participants, covered = _round_membership(network, self.base_station)
-        red_aggs = sum(
-            1
-            for node in network.iter_nodes()
-            if isinstance(node, _IpdaNode) and node.color is TreeColor.RED
-        )
-        blue_aggs = sum(
-            1
-            for node in network.iter_nodes()
-            if isinstance(node, _IpdaNode) and node.color is TreeColor.BLUE
-        )
+        colors = [node.color for node in network.iter_nodes()]
+        red_aggs = colors.count(TreeColor.RED)
+        blue_aggs = colors.count(TreeColor.BLUE)
 
         verification = _verify_round(
             self.config, root, s_red, s_blue, participants, magnitude
         )
         reported = verification.report_value
-        retries_used = sum(
-            node.retries_used
-            for node in network.iter_nodes()
-            if isinstance(node, _IpdaNode)
-        )
+        retries_used = sum(node.retries_used for node in network.iter_nodes())
         reparent_count = sum(
-            node.reparent_count
-            for node in network.iter_nodes()
-            if isinstance(node, _IpdaNode)
+            node.reparent_count for node in network.iter_nodes()
         )
         return IpdaOutcome(
             protocol=self.name,
@@ -885,6 +703,7 @@ class IpdaProtocol(AggregationProtocol):
                 "magnitude": magnitude,
                 "retries_used": retries_used,
                 "reparent_count": reparent_count,
+                "depth_overflow": count_depth_overflow(network.iter_nodes()),
                 "loss_rate": network.trace.loss_rate(),
                 "sent_bytes_by_node": dict(network.trace.sent_bytes_by_node),
                 "latency": root.last_result_time,
@@ -930,16 +749,6 @@ def _verify_round(
             piece_slack=slack,
             max_missing_fraction=robustness.max_missing_fraction,
         ),
-    )
-
-
-def _round_horizon(timing) -> float:
-    """When the last Phase III depth slot of a round has closed."""
-    return (
-        timing.tree_construction_window
-        + timing.slicing_window
-        + timing.assembly_guard
-        + (MAX_DEPTH_SLOTS + 2) * timing.aggregation_slot
     )
 
 

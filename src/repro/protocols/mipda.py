@@ -37,10 +37,10 @@ from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.radio import RadioConfig
 from .base import validate_readings
+from .convergecast import count_depth_overflow, round_horizon
 from .ipda import (
     _IpdaBaseStation,
     _IpdaNode,
-    _round_horizon,
     _round_membership,
     _schedule_slicing,
 )
@@ -248,7 +248,7 @@ class MipdaProtocol:
         timing = self.config.timing
         root.start()
         _schedule_slicing(network, self.base_station, timing)
-        network.run(until=_round_horizon(timing))
+        network.run(until=round_horizon(timing))
         network.run()
 
         sums = [root.tree_sum(color) for color in self.colors]
@@ -278,6 +278,7 @@ class MipdaProtocol:
                     )
                     for color in self.colors
                 },
+                "depth_overflow": count_depth_overflow(network.iter_nodes()),
                 "loss_rate": network.trace.loss_rate(),
                 "trace": network.trace.summary(),
             },

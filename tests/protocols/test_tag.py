@@ -7,7 +7,7 @@ import pytest
 from repro import RngStreams
 from repro.errors import ProtocolError
 from repro.net.topology import grid_deployment, random_deployment
-from repro.protocols.tag import TagParams, TagProtocol
+from repro.protocols.tag import TagProtocol
 from repro.sim.radio import RadioConfig
 
 
@@ -118,10 +118,3 @@ class TestRound:
         with pytest.raises(ProtocolError):
             TagProtocol().run_round(topology, {1: 1}, streams=RngStreams(1))
 
-
-class TestParams:
-    def test_validation(self):
-        with pytest.raises(ProtocolError):
-            TagParams(hello_window=0.0)
-        with pytest.raises(ProtocolError):
-            TagParams(max_depth=0)

@@ -72,6 +72,23 @@ class TestSubpackages:
             assert sub.__doc__, f"{module_name}.{info.name} lacks a docstring"
 
 
+class TestProtocols:
+    def test_timing_knobs_live_in_the_shared_convergecast(self):
+        import dataclasses
+
+        import repro.protocols as protocols
+        from repro.protocols import convergecast
+
+        assert "TagParams" not in protocols.__all__
+        assert not hasattr(protocols, "TagParams")
+        assert "MAX_DEPTH_SLOTS" in protocols.__all__
+        assert protocols.MAX_DEPTH_SLOTS is convergecast.MAX_DEPTH_SLOTS
+        assert [f.name for f in dataclasses.fields(protocols.PdaParams)] == [
+            "slices",
+            "magnitude",
+        ]
+
+
 class TestDocstrings:
     def test_public_classes_and_functions_documented(self):
         undocumented = []
